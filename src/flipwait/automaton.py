@@ -2,8 +2,10 @@
 
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
-state, because the game ends at the first occurrence.  Every exact solver,
-the counting DP, and the streaming simulator run on this one table.
+state, because the game ends at the first occurrence.  The counting DP, the
+conditional waits and the streaming simulator run on this one table; the
+chain solve and the correlation sets need only `failure_links`, the O(s)
+border chain the table is built from.
 """
 
 from __future__ import annotations
@@ -31,23 +33,44 @@ class PrefixAutomaton:
         return self.pattern.alphabet_size
 
 
+def failure_links(p: Pattern) -> list[int]:
+    """The KMP failure function f(q) for q = 0..s, in O(s) amortized.
+
+    f(q) is the state reached by the length-q prefix with its first symbol
+    dropped, i.e. the length of its longest proper border; f(0) = f(1) = 0.
+    Row q of the transition table equals row f(q) except at symbol S[q], and
+    f(q+1) = delta(f(q), S[q]).  Following f from s walks every border of
+    the whole pattern.
+    """
+    s = len(p)
+    sym = p.symbols
+    fail = [0] * (s + 1)
+    k = 0
+    for q in range(1, s):
+        while k and sym[k] != sym[q]:
+            k = fail[k]
+        if sym[k] == sym[q]:
+            k += 1
+        fail[q + 1] = k
+    return fail
+
+
 def build(p: Pattern) -> PrefixAutomaton:
-    """Construct the transition table in O(s*c) via the failure-function recurrence."""
+    """Construct the transition table in O(s*c) from the failure links."""
     s = len(p)
     c = p.alphabet_size
     sym = p.symbols
+    fail = failure_links(p)
     table: list[tuple[int, ...]] = []
 
     row0 = [0] * c
     row0[sym[0]] = 1
     table.append(tuple(row0))
 
-    fail = 0
     for q in range(1, s):
-        row = list(table[fail])
+        row = list(table[fail[q]])
         row[sym[q]] = q + 1
         table.append(tuple(row))
-        fail = table[fail][sym[q]]
 
     table.append(tuple([s] * c))
     return PrefixAutomaton(p, tuple(table))

@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", metavar="FILE", help="write the full JSON report here")
     sp.add_argument("--csv", metavar="FILE", help="write per-pattern CSV here")
     sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker threads (default ${THREADS_ENV} or 1); results do not depend on it")
+                    help=f"accepted for compatibility, must be >= 1 (default ${THREADS_ENV} or 1); "
+                         "neither results nor speed depend on it")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_scan)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from flipwait.exact import expected_wait_conway, expected_wait_markov
@@ -114,20 +113,21 @@ def _scan_one(p: Pattern, expectations: dict[tuple[int, ...], int]) -> PatternRe
 def scan(max_len: int, threads: int = 1) -> ScanReport:
     """Run both checks on every coin pattern of length 1..max_len.
 
-    Records come out in (length, lexicographic) order regardless of the
-    thread count.  Violations are collected, not raised; the scan is a
-    measurement, and a counterexample would be a discovery.
+    Records come out in (length, lexicographic) order.  Violations are
+    collected, not raised; the scan is a measurement, and a counterexample
+    would be a discovery.  `threads` is accepted for compatibility and must
+    be at least 1, but the scan runs in the calling thread whatever its
+    value: the work is pure-Python arithmetic under the interpreter lock,
+    so worker threads would only add switching cost.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     report = ScanReport(max_len=max_len)
     for s in range(1, max_len + 1):
         patterns = list(enumerate_patterns(s, 2))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                expected = list(pool.map(expected_wait_conway, patterns))
-        else:
-            expected = [expected_wait_conway(p) for p in patterns]
+        expected = [expected_wait_conway(p) for p in patterns]
         expectations = {p.symbols: e for p, e in zip(patterns, expected)}
         for idx, p in enumerate(patterns):
             rec = _scan_one(p, expectations)

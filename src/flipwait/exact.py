@@ -1,75 +1,43 @@
-"""Exact expected waiting times by two independent routes.
+"""Exact expected waiting times by two routes that check each other.
 
-The absorbing-chain route sets up E_q = 1 + (1/c) * sum_a E_{delta(q,a)}
-with E_s = 0 and solves it by Gaussian elimination over exact rationals.
+The absorbing-chain route solves E_q = 1 + (1/c) * sum_a E_{delta(q,a)} with
+E_s = 0 along the failure links f of the prefix automaton.  Row q of the
+automaton equals row f(q) except at symbol S[q], where it goes to q+1, so
+subtracting state f(q)'s equation from state q's leaves
+    E_1 = E_0 - c,    E_{q+1} = c*(E_q - E_{f(q)}) + E_{f(q+1)}   (1 <= q < s),
+and E_s = 0 fixes E_0.  This is O(s) integer work whatever the alphabet.
 The autocorrelation route sums c**k over the overlaps of the pattern with
-itself; it always yields an integer and serves as an independent oracle.
+itself, read off the same failure links as the border chain of the whole
+pattern; it always yields an integer and checks the recurrence.  The tests
+keep the dense Gaussian elimination and the prefix/suffix slicing
+definition as references for both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from flipwait.automaton import build, feed
+from flipwait.automaton import build, failure_links, feed
 from flipwait.pattern import Pattern, as_symbols
-
-
-def solve_exact(matrix: list[list[Fraction]]) -> list[Fraction]:
-    """Solve a square augmented system [A | b] by Gaussian elimination.
-
-    Arithmetic is exact, so pivoting only needs a nonzero entry; rows keep
-    their state-index order apart from the swaps that guarantees.
-    """
-    n = len(matrix)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ArithmeticError("singular system")
-        if pivot_row != col:
-            matrix[col], matrix[pivot_row] = matrix[pivot_row], matrix[col]
-        pivot = matrix[col][col]
-        for r in range(col + 1, n):
-            factor = matrix[r][col]
-            if factor == 0:
-                continue
-            scale = factor / pivot
-            row = matrix[r]
-            lead = matrix[col]
-            for j in range(col, n + 1):
-                row[j] -= scale * lead[j]
-    solution = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = matrix[r][n]
-        for j in range(r + 1, n):
-            acc -= matrix[r][j] * solution[j]
-        solution[r] = acc / matrix[r][r]
-    return solution
 
 
 def absorption_times(p: Pattern) -> list[Fraction]:
     """Expected steps to reach the accept state from each automaton state.
 
     Index q holds the expectation starting from state q; the accept entry
-    is zero.  The system is scaled by c so the input matrix is integral.
+    is zero.  Writing E_q = A_q*E_0 + B_q, the recurrence keeps A_q = 1 for
+    every q (by induction from A_0 = A_1 = 1), so it shoots only the integer
+    offsets D_q = E_0 - E_q forward; E_s = 0 then gives E_0 = D_s.
     """
-    a = build(p)
     s = len(p)
     c = p.alphabet_size
-    matrix = [[Fraction(0)] * (s + 1) for _ in range(s)]
-    for q in range(s):
-        matrix[q][q] += c
-        for sym in range(c):
-            nxt = a.transitions[q][sym]
-            if nxt < s:
-                matrix[q][nxt] -= 1
-        matrix[q][s] = Fraction(c)
-    times = solve_exact(matrix)
-    times.append(Fraction(0))
-    return times
+    fail = failure_links(p)
+    d = [0] * (s + 1)
+    d[1] = c
+    for q in range(1, s):
+        d[q + 1] = c * (d[q] - d[fail[q]]) + d[fail[q + 1]]
+    e0 = d[s]
+    return [Fraction(e0 - dq) for dq in d]
 
 
 def expected_wait_markov(p: Pattern) -> Fraction:
@@ -78,10 +46,17 @@ def expected_wait_markov(p: Pattern) -> Fraction:
 
 
 def correlation_set(p: Pattern) -> set[int]:
-    """All k in [1, s] where the length-k prefix equals the length-k suffix."""
-    s = len(p)
-    sym = p.symbols
-    return {k for k in range(1, s + 1) if sym[:k] == sym[s - k:]}
+    """All k in [1, s] where the length-k prefix equals the length-k suffix.
+
+    These are s and its chain of borders s, f(s), f(f(s)), ... down to 0.
+    """
+    fail = failure_links(p)
+    k = len(p)
+    out = set()
+    while k:
+        out.add(k)
+        k = fail[k]
+    return out
 
 
 def expected_wait_conway(p: Pattern) -> int:

@@ -162,22 +162,28 @@ def iter_values(f: SeqFamily) -> Iterator[tuple[int, int]]:
         n += 1
 
 
-_cache: dict[SeqFamily, list[int]] = {}
+# Per family: the values from the seed upward and the generator that
+# produced them, so extending the memo resumes where it stopped.
+_cache: dict[SeqFamily, tuple[list[int], Iterator[tuple[int, int]]]] = {}
 _cache_lock = threading.Lock()
+
+
+def _memo(f: SeqFamily, want: int) -> list[int]:
+    """The family's shared memo, grown to at least `want` entries; do not mutate it."""
+    with _cache_lock:
+        entry = _cache.get(f)
+        if entry is None:
+            entry = _cache[f] = ([], iter_values(f))
+        cached, gen = entry
+        while len(cached) < want:
+            cached.append(next(gen)[1])
+        return cached
 
 
 def values(f: SeqFamily, upto: int) -> list[int]:
     """Values for n = base_index(f) .. upto, memoized per family."""
     want = upto - base_index(f) + 1
-    with _cache_lock:
-        cached = _cache.setdefault(f, [])
-        if len(cached) < want:
-            gen = iter_values(f)
-            for _ in range(len(cached)):
-                next(gen)
-            while len(cached) < want:
-                cached.append(next(gen)[1])
-        return cached[:max(want, 0)]
+    return _memo(f, want)[:max(want, 0)]
 
 
 def value(f: SeqFamily, n: int) -> int:
@@ -185,7 +191,7 @@ def value(f: SeqFamily, n: int) -> int:
     base = base_index(f)
     if n < base:
         return 0
-    return values(f, n)[n - base]
+    return _memo(f, n - base + 1)[n - base]
 
 
 def alt_recurrence_values(f: SeqFamily, n: int) -> tuple[int, int]:

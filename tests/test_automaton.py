@@ -1,6 +1,6 @@
 import pytest
 
-from flipwait.automaton import build, dump, feed, step
+from flipwait.automaton import build, dump, failure_links, feed, step
 from flipwait.pattern import enumerate_patterns, parse
 
 H, T = 0, 1
@@ -75,6 +75,17 @@ def test_transitions_never_skip_ahead():
                 for sym in range(2):
                     assert a.transitions[q][sym] <= q + 1
                 assert a.transitions[q][p.symbols[q]] == q + 1
+
+
+@pytest.mark.parametrize("alphabet,max_len", [(2, 10), (3, 6)])
+def test_failure_links_are_longest_proper_borders(alphabet, max_len):
+    for s in range(1, max_len + 1):
+        for p in enumerate_patterns(s, alphabet):
+            sym = p.symbols
+            expected = [0] + [
+                max(k for k in range(q) if sym[:k] == sym[q - k:q]) for q in range(1, s + 1)
+            ]
+            assert failure_links(p) == expected
 
 
 def test_dump_is_aligned_text():

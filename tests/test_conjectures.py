@@ -123,3 +123,8 @@ def test_record_shape():
     assert rec.pattern == "T"
     assert rec.expected == 2 and report.records[3].pattern == "HT"
     assert report.records[3].reversal == "TH" and report.records[3].expected == 4
+
+
+def test_scan_rejects_nonpositive_threads():
+    with pytest.raises(ValueError, match="threads"):
+        scan(3, threads=0)

@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from flipwait import automaton, exact
+from flipwait.automaton import build
+from flipwait.cli import main
 from flipwait.exact import (
     absorption_times,
     conditional_wait,
@@ -13,6 +17,45 @@ from flipwait.exact import (
 from flipwait.pattern import Pattern, complement, enumerate_patterns, parse, runs
 
 H, T = 0, 1
+
+
+def _reference_absorption_times(p: Pattern) -> list[Fraction]:
+    """Dense route: Gaussian elimination of c*E_q - sum_a E_delta(q,a) = c over rationals."""
+    a = build(p)
+    s = len(p)
+    c = p.alphabet_size
+    m = [[Fraction(0)] * (s + 1) for _ in range(s)]
+    for q in range(s):
+        m[q][q] += c
+        for nxt in a.transitions[q]:
+            if nxt < s:
+                m[q][nxt] -= 1
+        m[q][s] = Fraction(c)
+    for col in range(s):
+        pivot_row = next(r for r in range(col, s) if m[r][col] != 0)
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        for r in range(col + 1, s):
+            if m[r][col] != 0:
+                scale = m[r][col] / m[col][col]
+                for j in range(col, s + 1):
+                    m[r][j] -= scale * m[col][j]
+    times = [Fraction(0)] * (s + 1)
+    for r in range(s - 1, -1, -1):
+        acc = m[r][s] - sum(m[r][j] * times[j] for j in range(r + 1, s))
+        times[r] = acc / m[r][r]
+    return times
+
+
+def _reference_correlation_set(p: Pattern) -> set[int]:
+    s = len(p)
+    sym = p.symbols
+    return {k for k in range(1, s + 1) if sym[:k] == sym[s - k:]}
+
+
+def _exhaustive(ranges):
+    for c, max_len in ranges:
+        for s in range(1, max_len + 1):
+            yield from enumerate_patterns(s, c)
 
 
 @pytest.mark.parametrize(
@@ -37,6 +80,11 @@ def test_correlation_set_always_contains_full_length():
             cs = correlation_set(p)
             assert s in cs
             assert all(1 <= k <= s for k in cs)
+
+
+def test_correlation_set_matches_slicing_definition():
+    for p in _exhaustive([(2, 12), (3, 6)]):
+        assert correlation_set(p) == _reference_correlation_set(p)
 
 
 def test_conway_values():
@@ -85,6 +133,42 @@ def test_absorption_times_shape():
     assert times[-1] == 0
     assert times[0] == 10
     assert all(t >= 0 for t in times)
+
+
+def test_absorption_times_match_dense_elimination_exhaustively():
+    for p in _exhaustive([(2, 10), (3, 5), (4, 5), (5, 4)]):
+        assert absorption_times(p) == _reference_absorption_times(p), p
+
+
+def test_absorption_times_match_dense_elimination_sampled():
+    rng = random.Random(3)
+    for _ in range(300):
+        c = rng.choice([2, 3, 6, 10, 100])
+        # half the draws stay on two symbols, so long patterns still self-overlap
+        used = rng.choice([2, c])
+        p = Pattern(tuple(rng.randrange(used) for _ in range(rng.randint(1, 30))), c)
+        assert absorption_times(p) == _reference_absorption_times(p), p
+
+
+def test_long_constant_pattern_chain_solve():
+    assert expected_wait_markov(parse("H" * 200)) == 2**201 - 2
+
+
+def test_large_alphabet_methods_agree_through_cli(capsys):
+    assert main(["expect", "0,1,0", "--alphabet", "1000000", "--method", "all", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agree"] is True
+    assert payload["results"]["markov"] == payload["results"]["conway"] == str(10**18 + 10**6)
+
+
+def test_chain_solve_never_builds_the_table(monkeypatch):
+    def boom(p):
+        raise AssertionError("dense transition table built")
+
+    monkeypatch.setattr(automaton, "build", boom)
+    monkeypatch.setattr(exact, "build", boom)
+    p = parse("HTHHTHTT")
+    assert absorption_times(p)[0] == expected_wait_markov(p) == expected_wait_conway(p)
 
 
 def test_conditional_wait_base_cases():

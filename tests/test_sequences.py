@@ -184,3 +184,56 @@ def test_values_concurrent_fill():
         t.join()
     assert len(results) == 6
     assert all(r == results[0] for r in results)
+
+
+def test_ascending_values_resume_one_generator(monkeypatch):
+    from itertools import islice
+
+    from flipwait import sequences
+
+    calls = []
+    real = sequences.iter_values
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(sequences, "_cache", {})
+    monkeypatch.setattr(sequences, "iter_values", counted)
+    f = alt_g(12)
+    got = [value(f, n) for n in range(401)]
+    assert len(calls) == 1
+    assert got == [0] * base_index(f) + [v for _, v in islice(real(f), 401 - base_index(f))]
+    # the list values() returns is the caller's own copy
+    vals = values(f, 400)
+    vals[-1] = -1
+    assert value(f, 400) == got[400]
+    assert len(calls) == 1
+
+
+def test_ascending_values_threads_share_one_generator(monkeypatch):
+    import sys
+    import threading
+
+    from flipwait import sequences
+
+    monkeypatch.setattr(sequences, "_cache", {})
+    f = fib_two_param(3, 2)
+    expected = gf_coefficients(f, 600)[series_shift(f):]
+    results = [None] * 8
+
+    def climb(i):
+        results[i] = [value(f, n) for n in range(600 - series_shift(f) + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=climb, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
