@@ -2,10 +2,10 @@
 
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
-state, because the game ends at the first occurrence.  The counting DP, the
-conditional waits and the streaming simulator run on this one table; the
-chain solve and the correlation sets need only `failure_links`, the O(s)
-border chain the table is built from.
+state, because the game ends at the first occurrence.  The counting DP and
+the streaming simulator run on this one table; the chain solve, the
+correlation sets and the conditional waits need only `failure_links`, the
+O(s) border chain the table is built from.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from fractions import Fraction
 from flipwait import automaton, conjectures, counting, exact, identities, sequences, simulate
 from flipwait.closed_form import dispatch
 from flipwait.pattern import (
-    Pattern,
     PatternError,
     complement,
     is_alternating,
@@ -53,12 +52,8 @@ def _emit(payload: dict):
     print(json.dumps(payload, indent=2))
 
 
-def _parse_pattern(text: str, alphabet: int) -> Pattern:
-    return parse(text, alphabet)
-
-
 def _cmd_expect(args) -> int:
-    p = _parse_pattern(args.pattern, args.alphabet)
+    p = parse(args.pattern, args.alphabet)
     methods = ["markov", "conway", "closed"] if args.method == "all" else [args.method]
     results: dict[str, "Fraction | int | None"] = {}
     for method in methods:
@@ -99,7 +94,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    p = _parse_pattern(args.pattern, args.alphabet)
+    p = parse(args.pattern, args.alphabet)
     vec = counting.count_first_occurrence(p, args.upto)
     if args.json:
         _emit({
@@ -178,7 +173,7 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    p = _parse_pattern(args.pattern, args.alphabet)
+    p = parse(args.pattern, args.alphabet)
     report = simulate.simulate_wait(p, args.trials, args.seed)
     if args.json:
         _emit({
@@ -237,7 +232,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    p = _parse_pattern(args.pattern, args.alphabet)
+    p = parse(args.pattern, args.alphabet)
     a = automaton.build(p)
     decomposition = runs(p)
     corr = sorted(exact.correlation_set(p))

@@ -8,7 +8,7 @@ in the hundreds are fine.
 
 from __future__ import annotations
 
-from flipwait.pattern import Pattern, complement, is_alternating, runs
+from flipwait.pattern import Pattern, is_alternating, runs
 
 
 def wait_single_run(k: int) -> int:
@@ -69,10 +69,10 @@ def wait_die_run(c: int, k: int) -> int:
 def dispatch(p: Pattern) -> int | None:
     """Return the applicable closed form, or None when no formula covers the pattern.
 
-    Coin patterns are first complemented to start with heads (the swap
-    preserves the waiting time), then matched by run count, with the
-    alternating formula as the fallback.  For larger alphabets only
-    constant patterns are covered.
+    Coin patterns are matched by run count, with the alternating formula as
+    the fallback; both depend only on the run lengths, not on which face
+    starts, since swapping faces preserves the waiting time.  For larger
+    alphabets only constant patterns are covered.
     """
     decomposition = runs(p)
     lengths = decomposition.lengths
@@ -80,8 +80,6 @@ def dispatch(p: Pattern) -> int | None:
         if len(lengths) == 1:
             return wait_die_run(p.alphabet_size, lengths[0])
         return None
-    if p.symbols[0] != 0:
-        p = complement(p)
     if len(lengths) == 1:
         return wait_single_run(lengths[0])
     if len(lengths) == 2:

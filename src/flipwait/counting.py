@@ -1,9 +1,12 @@
 """Counting the strings in which a pattern occurs only at the end.
 
-The main route is a dynamic program over the prefix automaton: propagate
-how many length-n streams sit in each transient state and record the flow
-into the accept state at every step.  A string-scanning brute force over
-all c**n outcomes serves as the independent oracle at small n.
+One dynamic program over the prefix automaton produces every count: it
+propagates how many length-n streams sit in each transient state and
+records the flow into the accept state at every step.  The unconditioned
+counts are the same program started from the empty given stream.  These
+counts satisfy the recurrence of Guibas & Odlyzko, JCTA 30 (1981).  A
+string-scanning brute force over all c**n outcomes serves as the
+independent oracle at small n.
 """
 
 from __future__ import annotations
@@ -42,31 +45,7 @@ class CountVector:
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:
     """Exact counts for n = 0..N by the automaton DP."""
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    a = build(p)
-    s = len(p)
-    c = p.alphabet_size
-    trans = a.transitions
-    weights = [0] * s
-    weights[0] = 1
-    counts = [0] * (N + 1)
-    for n in range(1, N + 1):
-        nxt = [0] * s
-        absorbed = 0
-        for q in range(s):
-            w = weights[q]
-            if not w:
-                continue
-            for sym in range(c):
-                state = trans[q][sym]
-                if state == s:
-                    absorbed += w
-                else:
-                    nxt[state] += w
-        counts[n] = absorbed
-        weights = nxt
-    return CountVector(p, tuple(counts))
+    return CountVector(p, conditional_count_vector(p, (), N))
 
 
 def _render(symbols, alphabet_size: int) -> str:
@@ -106,6 +85,8 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     with its first occurrence contributes the single string itself at n
     equal to its length.  Entries below the given length are 0.
     """
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     symbols = as_symbols(given, p.alphabet_size)
     r = len(symbols)
     counts = [0] * (N + 1)

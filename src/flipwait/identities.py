@@ -1,9 +1,12 @@
 """Summation identities: exact partial sums of sum(n * E_n / c**n) with tail control.
 
-The waiting-time expectation equals the series sum(n * E_n / c**n).  This
-module evaluates exact rational partial sums of that series, either from a
-pattern's counting DP or from a sequence family, and pairs each with a
-certified bound on the neglected tail.
+The waiting-time expectation equals the series sum(n * E_n / c**n).  Every
+partial sum here comes from one Horner pass over a mass sequence m_0..m_N,
+either a pattern's first-occurrence counts or a sequence family's aligned
+coefficients.  Over the common denominator c**N the pass carries two
+numerators, sum(n * m_n * c**(N-n)) for the partial sum and
+sum(m_n * c**(N-n)) for the absorbed mass, each multiplied by c once per
+term; the second gives the certified bound on the neglected tail.
 
 Tail bound: from any transient automaton state the next s draws finish the
 game with probability at least c**-s, so the survival mass rho_n shrinks by
@@ -37,22 +40,40 @@ from flipwait.sequences import (
 CorollaryParams = tuple[int, ...]
 
 
+def _series(masses: list[int], c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
+    """Partial sum of n * masses[n] / c**n over n = 0..N and its tail bound.
+
+    The bound is rho_N * (N + s * c**s) with rho_N = 1 - sum(masses[n] / c**n).
+    """
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    if len(masses) != N + 1:
+        raise ValueError(f"expected {N + 1} masses for N = {N}, got {len(masses)}")
+    weighted = absorbed = 0
+    for n, m in enumerate(masses):
+        weighted = weighted * c + n * m
+        absorbed = absorbed * c + m
+    scale = c**N
+    return Fraction(weighted, scale), Fraction(scale - absorbed, scale) * (N + s * c**s)
+
+
+def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
+    masses = list(count_first_occurrence(p, N).counts)
+    return _series(masses, p.alphabet_size, len(p), N)
+
+
+def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
+    return _series(_aligned_coefficients(f, N), 2, _family_length(f), N)
+
+
+def _family_length(f: SeqFamily) -> int:
+    """Series index of the family's first nonzero coefficient: the underlying pattern length."""
+    return base_index(f) + series_shift(f)
+
+
 def partial_expectation(p: Pattern, N: int) -> Fraction:
     """sum(n * counts[n] / c**n) for n = 0..N as an exact rational."""
-    c = p.alphabet_size
-    counts = count_first_occurrence(p, N)
-    total = 0
-    for n in range(N + 1):
-        total += n * counts[n] * c ** (N - n)
-    return Fraction(total, c**N)
-
-
-def _survival_numerator(masses: list[int], N: int, c: int) -> int:
-    """c**N * rho_N where rho_N = 1 - sum(masses[n] / c**n)."""
-    total = 0
-    for n, m in enumerate(masses):
-        total += m * c ** (N - n)
-    return c**N - total
+    return _pattern_series(p, N)[0]
 
 
 def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
@@ -65,20 +86,13 @@ def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
     family counts first occurrences.
     """
     if isinstance(subject, Pattern):
-        c = subject.alphabet_size
-        s = len(subject)
-        masses = list(count_first_occurrence(subject, N).counts)
-    else:
-        c = 2
-        s = base_index(subject) + series_shift(subject)
-        masses = _aligned_coefficients(subject, N)
-    rho_num = _survival_numerator(masses, N, c)
-    return Fraction(rho_num, c**N) * (N + s * c**s)
+        return _pattern_series(subject, N)[1]
+    return _family_series(subject, N)[1]
 
 
 def _aligned_coefficients(f: SeqFamily, N: int) -> list[int]:
     """Series coefficients a_0..a_N with a_n = family value at n - shift."""
-    start = base_index(f) + series_shift(f)
+    start = _family_length(f)
     out = [0] * min(start, N + 1)
     if start > N:
         return out
@@ -141,19 +155,11 @@ def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fr
 
 def default_truncation(which: str, params: CorollaryParams) -> int:
     family, _ = corollary_family(which, params)
-    s = base_index(family) + series_shift(family)
-    return max(200, 50 * s)
+    return max(200, 50 * _family_length(family))
 
 
 def verify_corollary(which: str, params: CorollaryParams, N: int) -> CorollaryCheck:
     """Exact partial sum of the identity's series, its target, gap, and tail bound."""
     family, target = corollary_family(which, params)
-    coeffs = _aligned_coefficients(family, N)
-    total = 0
-    for n, a in enumerate(coeffs):
-        total += n * a << (N - n)
-    partial = Fraction(total, 1 << N)
-    rho_num = _survival_numerator(coeffs, N, 2)
-    s = base_index(family) + series_shift(family)
-    bound = Fraction(rho_num, 1 << N) * (N + s * (1 << s))
+    partial, bound = _family_series(family, N)
     return CorollaryCheck(which, tuple(params), N, partial, target, abs(target - partial), bound)

@@ -4,6 +4,7 @@ import pytest
 
 from flipwait.counting import (
     conditional_count,
+    conditional_count_vector,
     count_brute,
     count_first_occurrence,
     verify_count_families,
@@ -28,6 +29,14 @@ def test_count_vector_basics():
             vec = count_first_occurrence(p, s + 4)
             assert all(vec[n] == 0 for n in range(s))
             assert vec[s] == 1
+
+
+def test_negative_N_raises():
+    p = parse("HTH")
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        count_first_occurrence(p, -1)
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        conditional_count_vector(p, (H,), -1)
 
 
 def test_brute_examples():

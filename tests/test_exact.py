@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flipwait import automaton, exact
-from flipwait.automaton import build
+from flipwait.automaton import build, feed
 from flipwait.cli import main
 from flipwait.exact import (
     absorption_times,
@@ -166,7 +167,7 @@ def test_chain_solve_never_builds_the_table(monkeypatch):
         raise AssertionError("dense transition table built")
 
     monkeypatch.setattr(automaton, "build", boom)
-    monkeypatch.setattr(exact, "build", boom)
+    monkeypatch.setattr(exact, "build", boom, raising=False)
     p = parse("HTHHTHTT")
     assert absorption_times(p)[0] == expected_wait_markov(p) == expected_wait_conway(p)
 
@@ -176,6 +177,34 @@ def test_conditional_wait_base_cases():
     assert conditional_wait(hh, ()) == expected_wait_markov(hh)
     assert conditional_wait(hh, hh) == 2
     assert conditional_wait(parse("HHH"), parse("H")) == 13
+
+
+def _reference_conditional_wait(p: Pattern, given, times: list[Fraction]) -> Fraction:
+    """Table route: feed the given stream through the dense automaton."""
+    return len(given) + times[feed(build(p), given)]
+
+
+def test_conditional_wait_matches_table_route_exhaustively():
+    cases = 0
+    for c, max_s, max_r in ((2, 7, 6), (3, 4, 4)):
+        givens = [g for r in range(max_r + 1) for g in itertools.product(range(c), repeat=r)]
+        for s in range(1, max_s + 1):
+            for p in enumerate_patterns(s, c):
+                times = absorption_times(p)
+                for given in givens:
+                    assert conditional_wait(p, given) == _reference_conditional_wait(p, given, times), (
+                        p.text(), given)
+                    cases += 1
+    assert cases == 46778
+
+
+def test_conditional_wait_never_builds_the_table(monkeypatch):
+    def boom(p):
+        raise AssertionError("dense transition table built")
+
+    monkeypatch.setattr(automaton, "build", boom)
+    monkeypatch.setattr(exact, "build", boom, raising=False)
+    assert conditional_wait(parse("0,1,0", 10**6), (0, 1)) == 999999000001000002
 
 
 def test_conditional_wait_rejects_alphabet_mismatch():

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from flipwait.counting import count_first_occurrence
 from flipwait.exact import expected_wait_markov
 from flipwait.identities import (
+    _series,
     corollary_family,
     default_truncation,
     partial_expectation,
@@ -11,9 +13,62 @@ from flipwait.identities import (
     verify_corollary,
 )
 from flipwait.pattern import enumerate_patterns, parse
-from flipwait.sequences import alt_g, fib_order
+from flipwait.sequences import alt_g, base_index, fib_order, series_shift, value
 
 EPS = Fraction(1, 10**9)
+
+
+def _reference_series(masses, c: int, s: int) -> tuple[Fraction, Fraction]:
+    """The plain definitions: sum(n*m_n/c**n) and (1 - sum(m_n/c**n)) * (N + s*c**s)."""
+    N = len(masses) - 1
+    partial = sum((Fraction(n * m, c**n) for n, m in enumerate(masses)), Fraction(0))
+    absorbed = sum((Fraction(m, c**n) for n, m in enumerate(masses)), Fraction(0))
+    return partial, (1 - absorbed) * (N + s * c**s)
+
+
+def _check_pattern_series(p, Ns):
+    counts = count_first_occurrence(p, max(Ns)).counts
+    for N in Ns:
+        partial, bound = _reference_series(counts[: N + 1], p.alphabet_size, len(p))
+        assert partial_expectation(p, N) == partial, (p.text(), N)
+        assert tail_bound(p, N) == bound, (p.text(), N)
+
+
+def test_series_matches_reference_on_coin_words():
+    for s in range(1, 9):
+        for p in enumerate_patterns(s, 2):
+            _check_pattern_series(p, sorted({0, s - 1, s, 3 * s, 400}))
+
+
+def test_series_matches_reference_on_die_words():
+    for c in (3, 6):
+        for s in range(1, 4):
+            for p in enumerate_patterns(s, c):
+                _check_pattern_series(p, (0, 50))
+
+
+@pytest.mark.parametrize("which,params", [
+    ("id1", (3,)), ("id1bar", (3,)), ("id2", (2, 3)), ("id3", (5, 5)), ("alt", (12,)),
+])
+def test_series_matches_reference_on_corollaries(which, params):
+    family, target = corollary_family(which, params)
+    shift = series_shift(family)
+    s = base_index(family) + shift
+    masses = [value(family, n - shift) for n in range(4001)]
+    for N in (0, 2, 400, 4000):
+        partial, bound = _reference_series(masses[: N + 1], 2, s)
+        check = verify_corollary(which, params, N)
+        assert (check.partial, check.bound, check.gap) == (partial, bound, abs(target - partial)), N
+        assert tail_bound(family, N) == bound, N
+
+
+def test_series_rejects_bad_truncation():
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        verify_corollary("id1", (2,), -1)
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        tail_bound(fib_order(2), -1)
+    with pytest.raises(ValueError, match="expected 4 masses"):
+        _series([0, 1], 2, 1, 3)
 
 
 def test_partial_expectation_hand_sum():
