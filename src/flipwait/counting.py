@@ -1,12 +1,31 @@
 """Counting the strings in which a pattern occurs only at the end.
 
-One dynamic program over the prefix automaton produces every count: it
-propagates how many length-n streams sit in each transient state and
-records the flow into the accept state at every step.  The unconditioned
-counts are the same program started from the empty given stream.  These
-counts satisfy the recurrence of Guibas & Odlyzko, JCTA 30 (1981).  A
-string-scanning brute force over all c**n outcomes serves as the
-independent oracle at small n.
+One routine produces every count.  A dynamic program over the prefix
+automaton propagates how many streams sit in each transient state and
+records the flow into the accept state, but only for the first s draws
+after the given stream; every later count follows from the recurrence of
+Guibas & Odlyzko, JCTA 30 (1981).  The unconditioned counts are the same
+routine started from the empty given stream.
+
+Why s draws are enough, from any start state q: let A be the s x s block of
+the automaton's counting matrix on the transient states and b its column of
+symbols into the accept state, so the count absorbed at draw t >= 1 is
+m_t = e_q A**(t-1) b.  The unconditioned counts have generating function
+z**s / D(z) with D(z) = z**s + (1 - c*z)*C(z), where C(z) sums z**(s-k) over
+the correlation set K.  C(0) = 1, so z**s / D is in lowest terms, and the
+z**s coefficient of D is 1 - c*[1 in K], nonzero for c >= 2, so deg D = s.
+The same function is z e_0 adj(I - zA) b / det(I - zA), whose denominator
+has degree at most s and constant term 1.  D divides it, so
+D(z) = det(I - zA) = 1 + d_1 z + ... + d_s z**s.  By Cayley-Hamilton
+sum_j d_j A**(s-j) = 0, so for t >= s+1
+    sum_j d_j m_(t-j) = e_q A**(t-1-s) (sum_j d_j A**(s-j)) b = 0.
+The DP therefore supplies m_1..m_s and every later term is
+-(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  The
+cost is O(s*s*c) for the warm-up plus O(N*|K|) big-int steps.
+
+A string-scanning brute force over all c**n outcomes serves as the
+independent oracle at small n; the tests keep the full-length DP as a
+second reference.
 """
 
 from __future__ import annotations
@@ -15,6 +34,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from flipwait.automaton import build, step
+from flipwait.exact import correlation_set
 from flipwait.pattern import Pattern, as_symbols
 from flipwait.sequences import (
     SeqFamily,
@@ -44,7 +64,7 @@ class CountVector:
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:
-    """Exact counts for n = 0..N by the automaton DP."""
+    """Exact counts for n = 0..N by the s-draw DP and the recurrence."""
     return CountVector(p, conditional_count_vector(p, (), N))
 
 
@@ -83,7 +103,9 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     If the pattern already occurs strictly inside the given stream the game
     is over early, so every count is 0; a given stream that ends exactly
     with its first occurrence contributes the single string itself at n
-    equal to its length.  Entries below the given length are 0.
+    equal to its length.  Entries below the given length are 0.  The
+    automaton runs for the s draws after the given stream only; later
+    entries come from the recurrence (see the module docstring).
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -103,7 +125,7 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     trans = a.transitions
     weights = [0] * s
     weights[state] = 1
-    for n in range(r + 1, N + 1):
+    for n in range(r + 1, min(N, r + s) + 1):
         nxt = [0] * s
         absorbed = 0
         for q in range(s):
@@ -118,7 +140,28 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
                     nxt[to] += w
         counts[n] = absorbed
         weights = nxt
+    taps = _recurrence_taps(p)
+    for n in range(r + s + 1, N + 1):
+        v = 0
+        for j, d_j in taps:
+            v -= d_j * counts[n - j]
+        counts[n] = v
     return tuple(counts)
+
+
+def _recurrence_taps(p: Pattern) -> list[tuple[int, int]]:
+    """(j, d_j) for the nonzero d_j, 1 <= j <= s, of D(z) = z**s + (1 - c*z)*C(z).
+
+    C(z) = sum of z**(s-k) over the correlation set; d_0 = 1.
+    """
+    s = len(p)
+    c = p.alphabet_size
+    d = [0] * (s + 1)
+    d[s] = 1
+    for k in correlation_set(p):
+        d[s - k] += 1
+        d[s - k + 1] -= c
+    return [(j, d[j]) for j in range(1, s + 1) if d[j]]
 
 
 def conditional_count(p: Pattern, given, n: int) -> int:

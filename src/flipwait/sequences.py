@@ -143,11 +143,14 @@ def _recurrence(f: SeqFamily) -> tuple[dict[int, int], int]:
 def _iterate(coeffs: dict[int, int], const: int) -> Iterator[int]:
     """Yield seed 1 then successive recurrence values; history below the seed is zero."""
     max_lag = max(coeffs)
+    taps = [(-lag, coeff) for lag, coeff in coeffs.items()]
     window = [0] * max_lag
     window[-1] = 1
     yield 1
     while True:
-        nxt = const + sum(coeff * window[-lag] for lag, coeff in coeffs.items())
+        nxt = const
+        for i, coeff in taps:
+            nxt += coeff * window[i]
         yield nxt
         window.append(nxt)
         del window[0]

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from flipwait.automaton import build, step
 from flipwait.counting import (
     conditional_count,
     conditional_count_vector,
@@ -9,9 +12,42 @@ from flipwait.counting import (
     count_first_occurrence,
     verify_count_families,
 )
-from flipwait.pattern import enumerate_patterns, parse, runs
+from flipwait.pattern import Pattern, as_symbols, enumerate_patterns, parse, runs
 
 H, T = 0, 1
+
+
+def _reference_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
+    """Full-length route: push every draw after the given stream through the dense table."""
+    symbols = as_symbols(given, p.alphabet_size)
+    r = len(symbols)
+    counts = [0] * (N + 1)
+    a = build(p)
+    s = len(p)
+    state = 0
+    for i, sym in enumerate(symbols):
+        state = step(a, state, sym)
+        if state == s:
+            if i == r - 1 and r <= N:
+                counts[r] = 1
+            return tuple(counts)
+    weights = [0] * s
+    weights[state] = 1
+    for n in range(r + 1, N + 1):
+        nxt = [0] * s
+        absorbed = 0
+        for q in range(s):
+            w = weights[q]
+            if not w:
+                continue
+            for to in a.transitions[q]:
+                if to == s:
+                    absorbed += w
+                else:
+                    nxt[to] += w
+        counts[n] = absorbed
+        weights = nxt
+    return tuple(counts)
 
 
 def test_known_count_vectors():
@@ -158,3 +194,36 @@ def test_verify_count_family_examples():
     assert count_first_occurrence(parse("HT"), 6)[6] == 5 == value(fib_bar(1), 4)
     assert count_first_occurrence(parse("HTH"), 4)[4] == 2 == value(fib_two_param(1, 1), 2)
     assert count_first_occurrence(parse("HTHT"), 5)[5] == 2 == value(alt_g(4), 5)
+
+
+def test_count_vector_matches_full_dp_exhaustive():
+    # N = r+s-1, r+s, r+s+1 straddle the end of the s-draw warm-up
+    for c, max_s, max_r in ((2, 7, 5), (3, 4, 3), (5, 3, 2)):
+        for s in range(1, max_s + 1):
+            for p in enumerate_patterns(s, c):
+                for r in range(max_r + 1):
+                    for given in product(range(c), repeat=r):
+                        # every entry of the reference is independent of N, so slice one long run
+                        n_max = 3 * s + r + 5
+                        full = _reference_count_vector(p, given, n_max)
+                        for N in (n_max, 0, r, r + s - 1, r + s, r + s + 1):
+                            got = conditional_count_vector(p, given, N)
+                            assert got == full[: N + 1], (p.text(), given, N)
+
+
+def test_count_vector_matches_full_dp_sampled():
+    rng = random.Random(5)
+    for _ in range(200):
+        c = rng.choice([2, 3, 6, 100])
+        # half the draws stay on two symbols, so long patterns still self-overlap
+        used = rng.choice([2, c])
+        p = Pattern(tuple(rng.randrange(used) for _ in range(rng.randint(1, 30))), c)
+        tail = tuple(rng.randrange(used) for _ in range(rng.randint(0, 3)))
+        given = p.symbols[: rng.randint(0, len(p))] + tail
+        got = conditional_count_vector(p, given, 400)
+        assert got == _reference_count_vector(p, given, 400), (p, given)
+
+
+def test_large_alphabet_count_matches_full_dp():
+    p = parse("0,1,0", 10**5)
+    assert count_first_occurrence(p, 8).counts == _reference_count_vector(p, (), 8)
