@@ -1,7 +1,10 @@
 import pytest
 
 from flipwait.conjectures import (
+    SPOT_CHECK_STRIDE,
     PatternRecord,
+    ScanReport,
+    _power_form,
     power_form_check,
     report_as_dict,
     reversal_check,
@@ -9,7 +12,39 @@ from flipwait.conjectures import (
     write_csv,
     write_json,
 )
-from flipwait.pattern import parse
+from flipwait.exact import expected_wait_conway, expected_wait_markov
+from flipwait.pattern import enumerate_patterns, parse, reverse, runs
+
+
+def _reference_scan(max_len: int) -> ScanReport:
+    """The per-pattern scan: two Pattern objects and an autocorrelation sum per word."""
+    report = ScanReport(max_len=max_len)
+    for s in range(1, max_len + 1):
+        patterns = list(enumerate_patterns(s, 2))
+        expectations = {p.symbols: expected_wait_conway(p) for p in patterns}
+        for idx, p in enumerate(patterns):
+            e = expectations[p.symbols]
+            rev = reverse(p)
+            e_rev = expectations[rev.symbols]
+            if len(runs(p)) == 1:
+                power_ok, exponents = None, None
+            else:
+                power_ok, exponents = _power_form(e, s)
+            rec = PatternRecord(p.text(), s, e, rev.text(), e_rev, e == e_rev, power_ok, exponents)
+            report.records.append(rec)
+            if not rec.reversal_ok:
+                report.violations.append(f"reversal mismatch for {rec.pattern}")
+            if rec.power_form_ok is False:
+                report.violations.append(f"power form fails for {rec.pattern}")
+            if idx % SPOT_CHECK_STRIDE == 0:
+                report.spot_checks += 1
+                exact = expected_wait_markov(p)
+                if exact.denominator != 1 or exact != rec.expected:
+                    report.violations.append(
+                        f"spot check mismatch for {rec.pattern}: chain solve {exact}, "
+                        f"autocorrelation {rec.expected}"
+                    )
+    return report
 
 
 def test_power_form_examples():
@@ -93,6 +128,16 @@ def test_scan_to_length_14_clean():
     assert report.violations == []
     checked = sum(1 for r in report.records if r.power_form_ok is not None)
     assert checked == report.scanned - 2 * 14
+    # the border recurrence gives the autocorrelation sum of every word
+    assert all(rec.expected == expected_wait_conway(parse(rec.pattern)) for rec in report.records)
+
+
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_scan_matches_reference_scan(max_len):
+    got, want = scan(max_len), _reference_scan(max_len)
+    assert got.records == want.records
+    assert got.violations == want.violations
+    assert got.spot_checks == want.spot_checks
 
 
 def test_report_serialization(tmp_path):

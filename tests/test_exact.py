@@ -151,6 +151,16 @@ def test_absorption_times_match_dense_elimination_sampled():
         assert absorption_times(p) == _reference_absorption_times(p), p
 
 
+def test_absorption_offsets_are_prefix_waiting_times():
+    # Conway's leading number: having matched the length-q prefix S_q, the wait
+    # left is E(S) - E(S_q), so the offset D_q = E_0 - E_q is E of that prefix
+    for p in _exhaustive([(2, 10), (3, 5)]):
+        times = absorption_times(p)
+        for q in range(1, len(p) + 1):
+            prefix = Pattern(p.symbols[:q], p.alphabet_size)
+            assert times[0] - times[q] == expected_wait_conway(prefix), (p, q)
+
+
 def test_long_constant_pattern_chain_solve():
     assert expected_wait_markov(parse("H" * 200)) == 2**201 - 2
 
