@@ -103,30 +103,30 @@ def _cmd_count(args) -> int:
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "upto": args.upto,
-            "counts": [str(v) for v in vec.counts],
+            "counts": list(vec.decimal_strings()),
         })
     else:
         print(f"first-occurrence counts for {p.text()}")
-        for n, v in enumerate(vec.counts):
-            print(f"{n:>4}  {v}")
+        for n, text in enumerate(vec.decimal_strings()):
+            print(f"{n:>4}  {text}")
     return 0
 
 
 def _cmd_seq(args) -> int:
     family = sequences.parse_family(args.family)
-    vals = [sequences.value(family, n) for n in range(args.upto + 1)]
+    texts = sequences.value_strings(family, args.upto)
     if args.json:
         _emit({
             "schema": SCHEMA,
             "command": "seq",
             "family": family.label(),
             "upto": args.upto,
-            "values": [str(v) for v in vals],
+            "values": list(texts),
         })
     else:
         print(f"{family.label()} for n = 0..{args.upto}")
-        for n, v in enumerate(vals):
-            print(f"{n:>4}  {v}")
+        for n, text in enumerate(texts):
+            print(f"{n:>4}  {text}")
     return 0
 
 

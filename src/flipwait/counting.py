@@ -23,6 +23,16 @@ The DP therefore supplies m_1..m_s and every later term is
 -(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  The
 cost is O(s*s*c) for the warm-up plus O(N*|K|) big-int steps.
 
+Printing the counts costs more than computing them: CPython's int -> str is
+quadratic in the digit count.  `CountVector.decimal_strings` therefore keeps
+str(int) for counts of up to 1024 bits and, from the first larger count past
+n = s, reruns the same recurrence in `decimal` arithmetic seeded with the
+stored ints just before it.  Every step is an integer sum of products with
+integer taps, so at precision MAX_PREC nothing rounds and each decimal equals
+its int exactly; the Inexact and Rounded traps turn any rounding into an
+error, and the last decimal is checked against the last stored count.  Each
+string then costs time linear in its length.
+
 A string-scanning brute force over all c**n outcomes serves as the
 independent oracle at small n; the tests keep the full-length DP as a
 second reference.
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
 from flipwait.automaton import build, step
 from flipwait.exact import correlation_set
@@ -43,6 +54,7 @@ from flipwait.sequences import (
     fib_order,
     fib_tilde,
     fib_two_param,
+    recurrence_strings,
     value,
 )
 
@@ -61,6 +73,15 @@ class CountVector:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    def decimal_strings(self) -> Iterator[str]:
+        """str(v) for every count, in time linear in its digits past ~1024 bits.
+
+        Counts from the empty stream obey the recurrence from n = s+1 on,
+        which recurrence_strings reruns in exact decimal arithmetic.
+        """
+        taps = [(j, -d_j) for j, d_j in _recurrence_taps(self.pattern)]
+        return recurrence_strings(self.counts, taps, 0, len(self.pattern) + 1)
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from flipwait import counting, sequences
 from flipwait.cli import main
+from flipwait.pattern import parse
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +58,66 @@ def test_seq(capsys):
     code, payload, _ = run_json(capsys, "seq", "fib:2", "--upto", "7", "--json")
     assert code == 0
     assert payload["values"] == ["0", "1", "1", "2", "3", "5", "8", "13"]
+
+
+def _rendered(json_mode: bool, payload: dict, key: str, title: str, vals: list[int]):
+    """(exit code, stdout, stderr) of printing `vals` through str(int), as `count` and `seq` did."""
+    if json_mode:
+        try:
+            payload[key] = [str(v) for v in vals]
+        except ValueError as exc:
+            return 1, "", f"flipwait: error: {exc}\n"
+        return 0, json.dumps(payload, indent=2) + "\n", ""
+    lines = [title]
+    for n, v in enumerate(vals):
+        try:
+            lines.append(f"{n:>4}  {v}")
+        except ValueError as exc:
+            return 1, "".join(line + "\n" for line in lines), f"flipwait: error: {exc}\n"
+    return 0, "".join(line + "\n" for line in lines), ""
+
+
+COUNT_SWEEP = [("HH", 2), ("HTTH", 2), ("HHTHHTTTHH", 2), ("0,1,0", 3), ("0,1,0", 6), ("2,1", 100)]
+SEQ_SWEEP = ["fib:3", "fib-bar:2", "fib2:0,0", "fib2:2,3", "fib-tilde:1,2", "alt:5"]
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_count_and_seq_print_str_of_every_value(capsys, json_mode):
+    # default digit limit; the last case passes 4300 digits near n = 2150 and
+    # fails after printing the rows before it (text) or nothing (JSON)
+    flag = ("--json",) if json_mode else ()
+    cases = [(word, c, N) for word, c in COUNT_SWEEP for N in (0, 1, 2, 3, 50, 1500)]
+    for word, c, N in cases + [("0,1,0", 100, 2200)]:
+        p = parse(word, c)
+        vals = counting.count_first_occurrence(p, N).counts
+        payload = {"schema": 1, "command": "count", "pattern": p.text(), "alphabet": c, "upto": N}
+        want = _rendered(json_mode, payload, "counts", f"first-occurrence counts for {p.text()}", vals)
+        assert run_cli(capsys, "count", word, "--alphabet", str(c), "--upto", str(N), *flag) == want
+    assert want[0] == 1 and want[1].count("\n") == (0 if json_mode else 2155)
+    for label in SEQ_SWEEP:
+        f = sequences.parse_family(label)
+        for N in (0, 7, 3000):
+            vals = [sequences.value(f, n) for n in range(N + 1)]
+            payload = {"schema": 1, "command": "seq", "family": label, "upto": N}
+            want = _rendered(json_mode, payload, "values", f"{label} for n = 0..{N}", vals)
+            assert run_cli(capsys, "seq", label, "--upto", str(N), *flag) == want
+
+
+@pytest.mark.parametrize("label, message", [
+    ("fib2:1", "fib2 needs 2 parameters (k,m), got 1"),
+    ("alt:", "alt needs 1 parameter (s), got 0"),
+    ("fib:1,2", "fib needs 1 parameter (k), got 2"),
+])
+def test_seq_family_with_wrong_parameter_count(capsys, label, message):
+    assert run_cli(capsys, "seq", label, "--upto", "3") == (1, "", f"flipwait: error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", [(), ("--json",)])
+def test_seq_and_count_reject_negative_upto(capsys, flag):
+    assert run_cli(capsys, "seq", "fib:2", "--upto", "-3", *flag) == (
+        1, "", "flipwait: error: N must be nonnegative, got -3\n")
+    assert run_cli(capsys, "count", "HH", "--upto", "-1", *flag) == (
+        1, "", "flipwait: error: N must be nonnegative, got -1\n")
 
 
 def test_sum_id2(capsys):

@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,6 +14,7 @@ from flipwait.counting import (
     verify_count_families,
 )
 from flipwait.pattern import Pattern, as_symbols, enumerate_patterns, parse, runs
+from flipwait.sequences import _DECIMAL_BITS
 
 H, T = 0, 1
 
@@ -227,3 +229,61 @@ def test_count_vector_matches_full_dp_sampled():
 def test_large_alphabet_count_matches_full_dp():
     p = parse("0,1,0", 10**5)
     assert count_first_occurrence(p, 8).counts == _reference_count_vector(p, (), 8)
+
+
+def test_decimal_strings_match_str_exhaustive(int_digits):
+    # N = 3000 takes most vectors past the decimal switch; identical vectors
+    # (a word, its complement and its reversal) share one reference rendering
+    int_digits(0)
+    reference: dict[tuple[int, ...], list[str]] = {}
+    crossed = 0
+    for c, max_s in ((2, 8), (3, 4)):
+        for s in range(1, max_s + 1):
+            for p in enumerate_patterns(s, c):
+                for N in (0, s, 3000):
+                    vec = count_first_occurrence(p, N)
+                    want = reference.get(vec.counts)
+                    if want is None:
+                        want = reference[vec.counts] = [str(v) for v in vec.counts]
+                    assert list(vec.decimal_strings()) == want, (p.text(), N)
+                    crossed += vec.counts[-1].bit_length() > _DECIMAL_BITS
+    assert crossed > 500
+
+
+def test_decimal_strings_match_str_sampled(int_digits):
+    int_digits(0)
+    rng = random.Random(11)
+    for _ in range(100):
+        c = rng.choice([2, 6, 100])
+        # half the draws stay on two symbols, so long patterns still self-overlap
+        used = rng.choice([2, c])
+        p = Pattern(tuple(rng.randrange(used) for _ in range(rng.randint(1, 24))), c)
+        vec = count_first_occurrence(p, 1500)
+        assert list(vec.decimal_strings()) == [str(v) for v in vec.counts], p
+
+
+@pytest.mark.parametrize("word, c", [("HTH", 2), ("HHTHH", 2), ("0,1,0", 6), ("1,0,0,1", 100)])
+def test_decimal_strings_digit_limit_boundary(int_digits, drain, word, c):
+    # at 640 digits every value prints; at 641 the emitter stops where str(int)
+    # does, with CPython's own message, after the same strings
+    p = parse(word, c)
+    counts = count_first_occurrence(p, 5000).counts
+    N = max(n for n, v in enumerate(counts) if 10**639 <= v < 10**640)
+    int_digits(640)
+    for n_max, fails in ((N, False), (N + 1, True)):
+        vec = count_first_occurrence(p, n_max)
+        assert vec.counts[-1].bit_length() > _DECIMAL_BITS
+        got = drain(vec.decimal_strings())
+        assert got == drain(str(v) for v in vec.counts)
+        assert (got[1] is not None) == fails
+        assert len(got[0]) == n_max + 1 - fails
+
+
+def test_decimal_strings_leave_the_callers_context_alone(int_digits):
+    int_digits(0)
+    before = decimal.getcontext()
+    texts = count_first_occurrence(parse("HTTH"), 3000).decimal_strings()
+    for n, _ in enumerate(texts):
+        if n % 500 == 0:
+            assert decimal.getcontext() is before
+    assert n == 3000

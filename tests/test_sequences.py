@@ -1,6 +1,8 @@
 import pytest
 
+from flipwait.identities import corollary_family
 from flipwait.sequences import (
+    _DECIMAL_BITS,
     SeqFamily,
     alt_g,
     base_index,
@@ -13,8 +15,10 @@ from flipwait.sequences import (
     gf_polynomials,
     iter_values,
     parse_family,
+    recurrence_strings,
     series_shift,
     value,
+    value_strings,
     values,
 )
 
@@ -155,6 +159,19 @@ def test_parse_family_rejects_bad_labels(label):
         parse_family(label)
 
 
+@pytest.mark.parametrize("label, message", [
+    ("fib2:1", "fib2 needs 2 parameters (k,m), got 1"),
+    ("fib-tilde:1,2,3", "fib-tilde needs 2 parameters (k,m), got 3"),
+    ("alt:", "alt needs 1 parameter (s), got 0"),
+    ("fib:1,2", "fib needs 1 parameter (k), got 2"),
+    ("fib-bar:", "fib-bar needs 1 parameter (k), got 0"),
+])
+def test_parse_family_counts_parameters_first(label, message):
+    with pytest.raises(ValueError) as exc:
+        parse_family(label)
+    assert str(exc.value) == message
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         fib_order(0)
@@ -237,3 +254,65 @@ def test_ascending_values_threads_share_one_generator(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
+
+
+# criterion 8's grid: the families behind id1, id2, id3 and alt
+CRITERION_8_FAMILIES = [corollary_family(which, params)[0] for which, params in (
+    [("id1", (k,)) for k in range(1, 9)]
+    + [("id2", (k, m)) for k in range(1, 6) for m in range(1, 6)]
+    + [("id3", (k, m)) for k in range(1, 6) for m in range(1, 6)]
+    + [("alt", (s,)) for s in range(1, 13)]
+)]
+
+
+def test_value_strings_match_str_criterion_8_grid(int_digits):
+    int_digits(0)
+    crossed = 0
+    for f in CRITERION_8_FAMILIES:
+        value(f, 6000)  # fill the memo in one pass before reading it termwise
+        want = [str(value(f, n)) for n in range(6001)]
+        assert list(value_strings(f, 6000)) == want, f
+        crossed += value(f, 6000).bit_length() > _DECIMAL_BITS
+    assert crossed == len(CRITERION_8_FAMILIES) - 3  # fib:1, alt:1 and alt:2 grow at most linearly
+
+
+def test_value_strings_match_str_other_families(int_digits):
+    # fib-bar adds 1 every step; k = 0 or m = 0 puts the fib2/fib-tilde seed at n = -1
+    int_digits(0)
+    others = [f for f in ALL_FAMILIES if f not in CRITERION_8_FAMILIES]
+    crossed = 0
+    for f in others:
+        value(f, 3000)
+        want = [str(value(f, n)) for n in range(3001)]
+        assert list(value_strings(f, 3000)) == want, f
+        crossed += value(f, 3000).bit_length() > _DECIMAL_BITS
+    assert crossed == len(others) - 3  # fib-bar:1, fib2:0,0 and fib2:1,0 grow at most linearly
+
+
+@pytest.mark.parametrize("f", [fib_order(2), fib_bar(3), fib_tilde(0, 0), alt_g(5)])
+def test_value_strings_digit_limit_boundary(int_digits, drain, f):
+    # at 640 digits every value prints; at 641 the emitter stops where str(int)
+    # does, with CPython's own message, after the same strings
+    N = max(n for n in range(5000) if 10**639 <= value(f, n) < 10**640)
+    int_digits(640)
+    for upto, fails in ((N, False), (N + 1, True)):
+        got = drain(value_strings(f, upto))
+        assert got == drain(str(value(f, n)) for n in range(upto + 1))
+        assert (got[1] is not None) == fails
+        assert len(got[0]) == upto + 1 - fails
+
+
+def test_value_strings_rejects_negative_upto():
+    with pytest.raises(ValueError, match="N must be nonnegative, got -3"):
+        value_strings(fib_order(2), -3)
+    assert list(value_strings(fib_order(2), 0)) == ["0"]
+
+
+def test_recurrence_strings_checks_the_last_stored_value(int_digits):
+    int_digits(0)
+    stored = [value(fib_order(2), n) for n in range(2000)]
+    assert list(recurrence_strings(stored, [(1, 1), (2, 1)], 0, 2)) == [str(v) for v in stored]
+    stored[-1] += 1
+    texts = recurrence_strings(stored, [(1, 1), (2, 1)], 0, 2)
+    with pytest.raises(ArithmeticError, match="n = 1999"):
+        list(texts)
