@@ -2,10 +2,11 @@
 
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
-state, because the game ends at the first occurrence.  The counting DP and
-the streaming simulator run on this one table; the chain solve, the
-correlation sets and the conditional waits need only `failure_links`, the
-O(s) border chain the table is built from.
+state, because the game ends at the first occurrence.  Only `inspect`,
+which prints it, and the streaming simulator use this table.  The chain
+solve, the correlation sets, the counts and the conditional waits need only
+`failure_links`, the O(s) border chain the table is built from, and walk a
+given stream along it with `match`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from flipwait.pattern import Pattern
 class PrefixAutomaton:
     pattern: Pattern
     transitions: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_states(self) -> int:
-        return len(self.transitions)
 
     @property
     def accept_state(self) -> int:
@@ -53,6 +50,24 @@ def failure_links(p: Pattern) -> list[int]:
             k += 1
         fail[q + 1] = k
     return fail
+
+
+def match(p: Pattern, fail: list[int], symbols) -> tuple[int, int]:
+    """KMP walk of a symbol sequence from state 0, in O(len(symbols)) whatever c is.
+
+    Returns (state, symbols consumed); the walk stops at the accept state.
+    """
+    s = len(p)
+    sym = p.symbols
+    q = 0
+    for i, x in enumerate(symbols):
+        while q and sym[q] != x:
+            q = fail[q]
+        if sym[q] == x:
+            q += 1
+            if q == s:
+                return q, i + 1
+    return q, len(symbols)
 
 
 def build(p: Pattern) -> PrefixAutomaton:

@@ -1,15 +1,22 @@
 """Counting the strings in which a pattern occurs only at the end.
 
-One routine produces every count.  A dynamic program over the prefix
-automaton propagates how many streams sit in each transient state and
-records the flow into the accept state, but only for the first s draws
-after the given stream; every later count follows from the recurrence of
+One routine produces every count.  The given stream is walked along the
+failure links to its automaton state q; the s counts after it are read off
+the border chain of q, and every later count follows from the recurrence of
 Guibas & Odlyzko, JCTA 30 (1981).  The unconditioned counts are the same
-routine started from the empty given stream.
+routine started from the empty given stream.  No transition table is built.
 
-Why s draws are enough, from any start state q: let A be the s x s block of
-the automaton's counting matrix on the transient states and b its column of
-symbols into the accept state, so the count absorbed at draw t >= 1 is
+The warm-up: a game that ends t <= s draws after the given stream ends with
+an occurrence of S that starts i = s - t symbols before the stream's end, so
+its continuation is S[i:] and the stream ends with S[:i], i.e. i is on the
+border chain q, f(q), ..., 0.  Each of these counts is therefore 0 or 1, and
+it is 1 iff S[:q] + S[i:] (the automaton walk of the stream plus S[i:])
+first reaches the accept state on its last symbol; for i <= q that walk
+ends with S exactly when i is on the chain.
+
+Why s counts are enough, from any start state q: let A be the s x s block
+of the automaton's counting matrix on the transient states and b its column
+of symbols into the accept state, so the count absorbed at draw t >= 1 is
 m_t = e_q A**(t-1) b.  The unconditioned counts have generating function
 z**s / D(z) with D(z) = z**s + (1 - c*z)*C(z), where C(z) sums z**(s-k) over
 the correlation set K.  C(0) = 1, so z**s / D is in lowest terms, and the
@@ -19,9 +26,9 @@ has degree at most s and constant term 1.  D divides it, so
 D(z) = det(I - zA) = 1 + d_1 z + ... + d_s z**s.  By Cayley-Hamilton
 sum_j d_j A**(s-j) = 0, so for t >= s+1
     sum_j d_j m_(t-j) = e_q A**(t-1-s) (sum_j d_j A**(s-j)) b = 0.
-The DP therefore supplies m_1..m_s and every later term is
+The warm-up therefore supplies m_1..m_s and every later term is
 -(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  The
-cost is O(s*s*c) for the warm-up plus O(N*|K|) big-int steps.
+cost is O(s*s) for the warm-up plus O(N*|K|) big-int steps, whatever c is.
 
 Printing the counts costs more than computing them: CPython's int -> str is
 quadratic in the digit count.  `CountVector.decimal_strings` therefore keeps
@@ -34,8 +41,8 @@ error, and the last decimal is checked against the last stored count.  Each
 string then costs time linear in its length.
 
 A string-scanning brute force over all c**n outcomes serves as the
-independent oracle at small n; the tests keep the full-length DP as a
-second reference.
+independent oracle at small n; the tests keep the full-length automaton DP
+as a second reference.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from flipwait.automaton import build, step
+from flipwait.automaton import failure_links, match
 from flipwait.exact import correlation_set
 from flipwait.pattern import Pattern, as_symbols
 from flipwait.sequences import (
@@ -85,7 +92,7 @@ class CountVector:
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:
-    """Exact counts for n = 0..N by the s-draw DP and the recurrence."""
+    """Exact counts for n = 0..N by the border-chain warm-up and the recurrence."""
     return CountVector(p, conditional_count_vector(p, (), N))
 
 
@@ -99,7 +106,7 @@ def count_brute(p: Pattern, n: int) -> int:
     """Oracle: enumerate all c**n strings and count first occurrences ending at n.
 
     Guarded so the enumeration stays within 2**24 strings.  Matching is done
-    with str.find on rendered strings, sharing nothing with the automaton DP.
+    with str.find on rendered strings, sharing nothing with the counting routine.
     """
     c = p.alphabet_size
     s = len(p)
@@ -124,43 +131,26 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     If the pattern already occurs strictly inside the given stream the game
     is over early, so every count is 0; a given stream that ends exactly
     with its first occurrence contributes the single string itself at n
-    equal to its length.  Entries below the given length are 0.  The
-    automaton runs for the s draws after the given stream only; later
-    entries come from the recurrence (see the module docstring).
+    equal to its length.  Entries below the given length are 0.  The s
+    entries after it come from the border chain and later entries from the
+    recurrence (see the module docstring).
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     symbols = as_symbols(given, p.alphabet_size)
     r = len(symbols)
     counts = [0] * (N + 1)
-    a = build(p)
     s = len(p)
-    state = 0
-    for i, sym in enumerate(symbols):
-        state = step(a, state, sym)
-        if state == s:
-            if i == r - 1 and r <= N:
-                counts[r] = 1
-            return tuple(counts)
-    c = p.alphabet_size
-    trans = a.transitions
-    weights = [0] * s
-    weights[state] = 1
-    for n in range(r + 1, min(N, r + s) + 1):
-        nxt = [0] * s
-        absorbed = 0
-        for q in range(s):
-            w = weights[q]
-            if not w:
-                continue
-            for sym in range(c):
-                to = trans[q][sym]
-                if to == s:
-                    absorbed += w
-                else:
-                    nxt[to] += w
-        counts[n] = absorbed
-        weights = nxt
+    fail = failure_links(p)
+    q, consumed = match(p, fail, symbols)
+    if q == s:
+        if consumed == r <= N:
+            counts[r] = 1
+        return tuple(counts)
+    sym = p.symbols
+    for i in range(q + 1):
+        if r + s - i <= N and match(p, fail, sym[:q] + sym[i:]) == (s, q + s - i):
+            counts[r + s - i] = 1
     taps = _recurrence_taps(p)
     for n in range(r + s + 1, N + 1):
         v = 0
@@ -189,9 +179,10 @@ def conditional_count(p: Pattern, given, n: int) -> int:
     """Single entry of conditional_count_vector; 0 when n is below the given length."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n < len(as_symbols(given, p.alphabet_size)):
+    symbols = as_symbols(given, p.alphabet_size)
+    if n < len(symbols):
         return 0
-    return conditional_count_vector(p, given, n)[n]
+    return conditional_count_vector(p, symbols, n)[n]
 
 
 @dataclass(frozen=True)
@@ -241,7 +232,7 @@ def _expected_family(lengths: tuple[int, ...]) -> tuple[SeqFamily, int]:
 
 
 def verify_count_families(max_params: int, N: int) -> CountFamilyReport:
-    """Check the counting DP against the named sequence families.
+    """Check the counting routine against the named sequence families.
 
     Sweeps every run-length tuple with one to four runs, entries up to
     max_params, plus alternating patterns up to length 2*max_params, and

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from flipwait.automaton import failure_links
+from flipwait.automaton import failure_links, match
 from flipwait.pattern import Pattern, as_symbols
 
 
@@ -73,19 +73,9 @@ def conditional_wait(p: Pattern, given) -> Fraction:
     the absorption time from that state.  The given stream may be any symbol
     sequence, not only a prefix of the pattern; if it already contains the
     pattern the game is over and the result is just len(given).  The state
-    is found by the KMP match loop along the failure links, stopping at the
+    is found by `automaton.match` along the failure links, stopping at the
     accept state, so no transition table is built.
     """
     symbols = as_symbols(given, p.alphabet_size)
-    s = len(p)
-    sym = p.symbols
-    fail = failure_links(p)
-    state = 0
-    for x in symbols:
-        if state == s:
-            break
-        while state and sym[state] != x:
-            state = fail[state]
-        if sym[state] == x:
-            state += 1
+    state, _ = match(p, failure_links(p), symbols)
     return len(symbols) + absorption_times(p)[state]

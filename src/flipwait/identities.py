@@ -79,7 +79,7 @@ def partial_expectation(p: Pattern, N: int) -> Fraction:
 def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
     """Certified upper bound on the series tail beyond N.
 
-    For a Pattern the mass sequence comes from the counting DP.  For a
+    For a Pattern the mass sequence comes from the counting routine.  For a
     SeqFamily it is the aligned coefficient sequence; the geometric-decay
     constant uses the generating function's numerator degree as the pattern
     length, which is the length of the underlying pattern whenever the

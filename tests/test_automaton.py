@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from flipwait.automaton import build, dump, failure_links, feed, step
+from flipwait.automaton import build, dump, failure_links, feed, match, step
 from flipwait.pattern import enumerate_patterns, parse
 
 H, T = 0, 1
@@ -86,6 +88,19 @@ def test_failure_links_are_longest_proper_borders(alphabet, max_len):
                 max(k for k in range(q) if sym[:k] == sym[q - k:q]) for q in range(1, s + 1)
             ]
             assert failure_links(p) == expected
+
+
+def test_match_agrees_with_the_table():
+    # the KMP walk reaches the table's state and stops on the first accept
+    for c, max_s, max_r in ((2, 5, 7), (3, 3, 4)):
+        for s in range(1, max_s + 1):
+            for p in enumerate_patterns(s, c):
+                a, fail = build(p), failure_links(p)
+                for r in range(max_r + 1):
+                    for stream in product(range(c), repeat=r):
+                        states = [feed(a, stream[:i]) for i in range(r + 1)]
+                        end = next((i for i, q in enumerate(states) if q == s), r)
+                        assert match(p, fail, stream) == (states[end], end), (p.text(), stream)
 
 
 def test_dump_is_aligned_text():

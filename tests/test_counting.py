@@ -1,10 +1,12 @@
 import decimal
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from flipwait import automaton, cli, counting
 from flipwait.automaton import build, step
 from flipwait.counting import (
     conditional_count,
@@ -132,6 +134,16 @@ def test_conditional_count_base_cases():
     assert conditional_count(hh, (H,), 0) == 0  # n shorter than the given stream
 
 
+def test_conditional_count_reads_a_one_shot_given_once():
+    hh = parse("HH")
+    for given in ((T,), (H,), (T, H), (H, T, H)):
+        for n in range(6):
+            expected = conditional_count(hh, given, n)
+            assert conditional_count(hh, list(given), n) == expected, (given, n)
+            assert conditional_count(hh, iter(given), n) == expected, (given, n)
+    assert conditional_count(hh, iter((T,)), 2) == 0
+
+
 def test_conditional_count_example():
     # for HH: strings of length 4 starting with H with HH only at the end
     assert conditional_count(parse("HH"), (H,), 4) == 1  # HTHH
@@ -229,6 +241,25 @@ def test_count_vector_matches_full_dp_sampled():
 def test_large_alphabet_count_matches_full_dp():
     p = parse("0,1,0", 10**5)
     assert count_first_occurrence(p, 8).counts == _reference_count_vector(p, (), 8)
+
+
+def test_counting_never_builds_the_table(monkeypatch, capsys):
+    def boom(p):
+        raise AssertionError("dense transition table built")
+
+    monkeypatch.setattr(automaton, "build", boom)
+    monkeypatch.setattr(counting, "build", boom, raising=False)
+    assert cli.main(["count", "0,1,0", "--alphabet", "1000000", "--upto", "50", "--json"]) == 0
+    text = capsys.readouterr().out
+    # the output of the table-driven counting DP, pinned by length and digest
+    assert '"999999999998999999",\n' in text
+    assert len(text) == 7298
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3ec13a796814d60856f9c8c378eae9eeca3ae19d02423573e21d36011007a402"
+    )
+    assert conditional_count_vector(parse("0,1,0", 10**6), (5, 0, 1), 10) == (
+        0, 0, 0, 0, 1, 0, 0, 999999, 999999000000, 999998999999000001, 999998999999000000000001,
+    )
 
 
 def test_decimal_strings_match_str_exhaustive(int_digits):
