@@ -3,10 +3,10 @@
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
 state, because the game ends at the first occurrence.  Only `inspect`,
-which prints it, and the streaming simulator use this table.  The chain
-solve, the correlation sets, the counts and the conditional waits need only
-`failure_links`, the O(s) border chain the table is built from, and walk a
-given stream along it with `match`.
+which prints it, and the simulator, which reads the word back from it,
+use this table.  The chain solve, the correlation sets, the counts and the
+conditional waits need only `failure_links`, the O(s) border chain the
+table is built from, and walk a given stream along it with `match`.
 """
 
 from __future__ import annotations
@@ -89,23 +89,6 @@ def build(p: Pattern) -> PrefixAutomaton:
 
     table.append(tuple([s] * c))
     return PrefixAutomaton(p, tuple(table))
-
-
-def step(a: PrefixAutomaton, state: int, symbol: int) -> int:
-    """Table lookup with bounds checks."""
-    if not 0 <= state <= a.accept_state:
-        raise IndexError(f"state {state} out of range 0..{a.accept_state}")
-    if not 0 <= symbol < a.alphabet_size:
-        raise IndexError(f"symbol {symbol} out of range for alphabet of size {a.alphabet_size}")
-    return a.transitions[state][symbol]
-
-
-def feed(a: PrefixAutomaton, symbols) -> int:
-    """Run a symbol sequence from the start state; returns the final state."""
-    q = 0
-    for sym in symbols:
-        q = step(a, q, sym)
-    return q
 
 
 def dump(a: PrefixAutomaton) -> str:

@@ -2,10 +2,18 @@ from itertools import product
 
 import pytest
 
-from flipwait.automaton import build, dump, failure_links, feed, match, step
+from flipwait.automaton import build, dump, failure_links, match
 from flipwait.pattern import enumerate_patterns, parse
 
 H, T = 0, 1
+
+
+def _feed(a, symbols) -> int:
+    """Run a symbol sequence through the table from the start state."""
+    q = 0
+    for sym in symbols:
+        q = a.transitions[q][sym]
+    return q
 
 
 def test_hand_traced_tables():
@@ -21,26 +29,24 @@ def test_hand_traced_tables():
     assert hth.transitions[3] == (3, 3)
 
 
-def test_step_checks_ranges():
+def test_table_has_one_row_per_state_and_one_column_per_symbol():
     a = build(parse("HH"))
-    assert step(a, 1, T) == 0
-    assert step(a, 2, H) == 2 and step(a, 2, T) == 2
-    with pytest.raises(IndexError):
-        step(a, 3, H)
-    with pytest.raises(IndexError):
-        step(a, 0, 2)
+    assert a.transitions[1][T] == 0
+    assert a.transitions[2][H] == 2 and a.transitions[2][T] == 2
+    assert len(a.transitions) == a.accept_state + 1 == 3
+    assert all(len(row) == a.alphabet_size == 2 for row in a.transitions)
 
 
 def test_htH_stay_state():
     a = build(parse("HTH"))
-    assert step(a, 1, H) == 1
+    assert a.transitions[1][H] == 1
 
 
 def test_feeding_pattern_reaches_accept():
     for s in range(1, 9):
         for p in enumerate_patterns(s, 2):
             a = build(p)
-            assert feed(a, p.symbols) == s
+            assert _feed(a, p.symbols) == s
 
 
 def _longest_prefix_suffix(word, pattern_symbols):
@@ -98,7 +104,7 @@ def test_match_agrees_with_the_table():
                 a, fail = build(p), failure_links(p)
                 for r in range(max_r + 1):
                     for stream in product(range(c), repeat=r):
-                        states = [feed(a, stream[:i]) for i in range(r + 1)]
+                        states = [_feed(a, stream[:i]) for i in range(r + 1)]
                         end = next((i for i, q in enumerate(states) if q == s), r)
                         assert match(p, fail, stream) == (states[end], end), (p.text(), stream)
 

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from flipwait import automaton, cli, counting
-from flipwait.automaton import build, step
+from flipwait.automaton import build
 from flipwait.counting import (
     conditional_count,
     conditional_count_vector,
@@ -30,7 +30,7 @@ def _reference_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     s = len(p)
     state = 0
     for i, sym in enumerate(symbols):
-        state = step(a, state, sym)
+        state = a.transitions[state][sym]
         if state == s:
             if i == r - 1 and r <= N:
                 counts[r] = 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flipwait import automaton, exact
-from flipwait.automaton import build, feed
+from flipwait.automaton import build
 from flipwait.cli import main
 from flipwait.exact import (
     absorption_times,
@@ -191,7 +191,11 @@ def test_conditional_wait_base_cases():
 
 def _reference_conditional_wait(p: Pattern, given, times: list[Fraction]) -> Fraction:
     """Table route: feed the given stream through the dense automaton."""
-    return len(given) + times[feed(build(p), given)]
+    table = build(p).transitions
+    state = 0
+    for sym in given:
+        state = table[state][sym]
+    return len(given) + times[state]
 
 
 def test_conditional_wait_matches_table_route_exhaustively():

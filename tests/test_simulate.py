@@ -1,12 +1,76 @@
 
+import random
+import tracemalloc
+
 import pytest
 
 from flipwait import _simpy
+from flipwait.automaton import build
 from flipwait.exact import expected_wait_markov
-from flipwait.pattern import enumerate_patterns, parse
-from flipwait.simulate import FLIP_CAP, SimReport, kernel_name, simulate_wait
+from flipwait.pattern import Pattern, enumerate_patterns, parse
+from flipwait.simulate import (
+    BATCH_SIZE,
+    FLIP_CAP,
+    SimReport,
+    _kernel,
+    compiled_batch,
+    flip_cap,
+    kernel_name,
+    simulate_wait,
+)
 
 KERNELS = ["python"] + (["compiled"] if kernel_name() == "compiled" else [])
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
+    """One draw at a time: each trial walks the table until the accept state."""
+    total = 0
+    total_sq = 0
+    mn = flip_cap + 1
+    mx = 0
+    for t in range(trials):
+        z = _mix((seed + (first_trial + t + 1) * GAMMA) & MASK64)
+        state = 0
+        flips = 0
+        while state != accept:
+            if flips >= flip_cap:
+                raise ValueError(f"flip cap {flip_cap} exceeded in trial {first_trial + t}")
+            z = (z + GAMMA) & MASK64
+            state = flat[state * nsym + _mix(z) % nsym]
+            flips += 1
+        total += flips
+        total_sq += flips * flips
+        if flips < mn:
+            mn = flips
+        if flips > mx:
+            mx = flips
+    return total, total_sq, mn, mx
+
+
+def _draws(seed: int, trial: int, n: int, c: int) -> tuple[int, ...]:
+    """The first n symbols of one trial's stream."""
+    z = _mix((seed + (trial + 1) * GAMMA) & MASK64)
+    return tuple(_mix((z + k * GAMMA) & MASK64) % c for k in range(1, n + 1))
+
+
+def _flat(symbols, c: int) -> list[int]:
+    return [t for row in build(Pattern(tuple(symbols), c)).transitions for t in row]
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_determinism_same_seed_same_report():
@@ -116,3 +180,119 @@ def test_die_simulation():
     rep = simulate_wait(parse("0", 6), 10**5, 11)
     assert abs(rep.mean - 6) < 0.15
     assert rep.min_flips == 1
+
+
+def _identity_cases():
+    """(word, c, trials, seed, first_trial, cap) with E * trials kept small for the reference."""
+    rng = random.Random(20251018)
+    cases = [
+        ((0,), 2, 4097 + rng.randrange(2000), rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP),
+        ((0, 1), 2, 4096 * 2 + 3, rng.getrandbits(64), 0, FLIP_CAP),
+        ((0,) * 4, 2, 700, rng.getrandbits(64), rng.getrandbits(20), FLIP_CAP),  # HHHH
+        ((0, 0, 0), 3, 300, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP),
+        ((0,) * 12, 2, 3, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP),  # E = 8190 > LANES
+        ((5, 5), 257, 2, rng.getrandbits(64), rng.getrandbits(20), FLIP_CAP),  # E = 66306 > LANES
+        ((0, 1), 2, 5000, rng.getrandbits(64), rng.getrandbits(64), 9),  # cap trips mid-batch
+        # two-byte residues: byte pairs 00 01 of word 256 also straddle symbols (a < 256, 1 + 256j)
+        ((256,), 257, 60, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP),
+        ((256,), 1000, 20, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP),
+    ]
+    for c in (2, 3, 4, 6, 10, 200, 256, 257, 1000, 10**6):
+        for _ in range(6):
+            seed, first = rng.getrandbits(64), rng.getrandbits(rng.choice((8, 32, 64)))
+            if c <= 10 and rng.random() < 0.8:
+                s = rng.randint(1, 7 if c == 2 else 3)
+                word = tuple(rng.randrange(rng.choice((2, c))) for _ in range(s))
+            else:
+                # plant a word of 1-3 symbols taken from the draws of the first trial
+                s, at = rng.randint(1, 3), rng.randrange(50)
+                word = _draws(seed, first, at + s, c)[at:]
+            e = int(expected_wait_markov(Pattern(word, c)))
+            trials = rng.randint(1, max(1, 20000 // e))
+            cap = rng.choice((FLIP_CAP, FLIP_CAP, rng.randint(1, 60)))
+            cases.append((word, c, trials, seed, first, cap))
+    return cases
+
+
+@pytest.mark.parametrize("word,c,trials,seed,first,cap", _identity_cases())
+def test_lockstep_kernel_matches_reference(word, c, trials, seed, first, cap):
+    flat = _flat(word, c)
+    args = (flat, len(word), c, trials, seed, first, cap)
+    assert _outcome(_simpy.run_batch, *args) == _outcome(_reference_run_batch, *args)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_flip_cap_boundary_names_the_first_trial_over_it(kernel):
+    impl = _kernel(kernel)
+    word, trials, seed = (0, 1, 1), 40, 77
+    flat = _flat(word, 2)
+    lengths = [_reference_run_batch(flat, 3, 2, 1, seed, t, FLIP_CAP)[0] for t in range(trials)]
+    longest = max(lengths)
+    assert impl.run_batch(flat, 3, 2, trials, seed, 0, longest) == _reference_run_batch(
+        flat, 3, 2, trials, seed, 0, FLIP_CAP)
+    with pytest.raises(ValueError, match=f"flip cap {longest - 1} exceeded in trial {lengths.index(longest)}$"):
+        impl.run_batch(flat, 3, 2, trials, seed, 0, longest - 1)
+
+
+def test_flip_cap_scales_with_the_expected_wait():
+    assert flip_cap(parse("HT")) == FLIP_CAP
+    assert flip_cap(parse("H" * 22)) == 64 * (2**23 - 2)
+
+
+def test_compiled_batch_keeps_uint64_sums_from_wrapping():
+    assert compiled_batch(FLIP_CAP) == BATCH_SIZE
+    for cap in (FLIP_CAP, 64 * (2**23 - 2), 10**9, 3 * 10**9):
+        batch = compiled_batch(cap)
+        assert batch * cap * cap < 2**63
+        assert batch == BATCH_SIZE or (batch + 1) * cap * cap >= 2**63
+    assert compiled_batch(2**32) == 0
+
+
+def test_simulate_wait_passes_the_derived_cap(monkeypatch):
+    # P(T > 10**7) is about 0.30 per trial for H*22, so a fixed cap fails most runs
+    caps = []
+
+    def run_batch(flat, accept, nsym, trials, seed, first_trial, cap):
+        caps.append(cap)
+        return accept * trials, accept * accept * trials, accept, accept
+
+    monkeypatch.setattr(_simpy, "run_batch", run_batch)
+    report = simulate_wait(parse("H" * 22), 2, 3, kernel="python")
+    assert caps == [64 * (2**23 - 2)] and report.min_flips == 22
+
+
+HTH = [1, 0, 1, 2, 3, 0, 3, 3]  # rows (1,0) (1,2) (3,0) (3,3)
+
+
+@pytest.mark.parametrize("table,accept", [
+    (HTH[:-1], 3),  # short table
+    ([1, 1] + HTH[2:], 3),  # row 0 sends both symbols to 1
+    (HTH[:2] + [1, 1] + HTH[4:], 3),  # row 1 never advances
+    (HTH[:4] + [3, 1] + HTH[6:], 3),  # row 2 forgets its border
+    (HTH[:6] + [3, 0], 3),  # accept row not absorbing
+    (HTH, 2),  # wrong accept state
+])
+def test_run_batch_rejects_a_table_that_is_no_prefix_automaton(table, accept):
+    assert HTH == _flat((0, 1, 0), 2)
+    with pytest.raises(ValueError):
+        _simpy.run_batch(table, accept, 2, 5, 1, 0, FLIP_CAP)
+
+
+def test_kernel_keeps_no_state_between_calls():
+    # lane constants are built per call: none at import, none cached after
+    before = {name: value for name, value in vars(_simpy).items() if not name.startswith("__")}
+    assert all(v.bit_length() <= 64 for v in before.values() if isinstance(v, int))
+    _simpy.run_batch(_flat((0, 1), 2), 2, 2, 5000, 9, 0, FLIP_CAP)
+    after = {name: value for name, value in vars(_simpy).items() if not name.startswith("__")}
+    assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+
+
+def test_simulation_memory_stays_small():
+    p = parse("HT")
+    tracemalloc.start()
+    try:
+        simulate_wait(p, 70000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
