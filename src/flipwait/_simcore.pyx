@@ -2,9 +2,11 @@
 """Compiled Monte Carlo kernel.
 
 Same contract and same draw sequence as flipwait._simpy.run_batch: SplitMix64
-substream per trial, symbol = output mod alphabet size.  The caller batches
-trials so that the uint64 accumulators cannot overflow (flips <= 1e7 per
-trial, trials <= 2**16 per batch).
+substream per trial, symbol = output mod alphabet size.  The caller keeps
+every game within `simulate.flip_cap(p)` = max(10**7, 64*E) flips and, through
+`simulate.compiled_batch`, cuts each batch to at most 2**63 // cap**2 trials,
+so that neither the uint64 accumulators nor any square, formed as a signed
+64-bit product, can overflow.
 """
 
 from libc.stdint cimport uint64_t

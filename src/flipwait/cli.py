@@ -199,7 +199,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    threads = args.threads if args.threads is not None else int(os.environ.get(THREADS_ENV, "1"))
+    threads = args.threads
+    if threads is None:
+        raw = os.environ.get(THREADS_ENV) or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     report = conjectures.scan(args.max_len, threads=threads)
     if args.out:
         conjectures.write_json(report, args.out)

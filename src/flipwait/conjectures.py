@@ -19,6 +19,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import is_, not_
+from typing import NamedTuple
 
 from flipwait.exact import expected_wait_conway, expected_wait_markov
 from flipwait.pattern import Pattern, parse, reverse, runs
@@ -52,8 +55,7 @@ def reversal_check(p: Pattern) -> bool:
     return expected_wait_markov(p) == expected_wait_markov(reverse(p))
 
 
-@dataclass(frozen=True)
-class PatternRecord:
+class PatternRecord(NamedTuple):
     pattern: str
     length: int
     expected: int
@@ -104,6 +106,13 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
     length k, bit 0 and bit s included).  The borders of u.a are u itself
     and the borders k of u with u[k] = a, each one longer, hence the
     child's mask; E = B - 1 drops bit 0, the empty border.
+
+    Records are built a length at a time from the columns: the lists of E,
+    of the reversal's E and of both verdicts (the power form once per
+    distinct E, None for the constant first and last words) feed one `map`
+    into `PatternRecord`.  Only the spot-check indices and the flagged
+    words are then visited one by one, in ascending order, so violations
+    come out per word: reversal, power form, then spot check.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
@@ -117,26 +126,25 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
         texts = [t + ch for t in texts for ch in "HT"]
         borders = [(b & (at | top)) << 1 | 1 for b, r in zip(borders, rev) for at in (~r & low, r)]
         rev = [r | a for r in rev for a in (0, top)]
-        last = len(texts) - 1
-        power_forms: dict[int, tuple[bool, tuple[int, ...]]] = {}
-        for idx, (text, b, r) in enumerate(zip(texts, borders, rev)):
-            e = b - 1
-            e_rev = borders[r] - 1
-            if idx == 0 or idx == last:
-                power_ok, exponents = None, None
-            else:
-                if e not in power_forms:
-                    power_forms[e] = _power_form(e, s)
-                power_ok, exponents = power_forms[e]
-            rec = PatternRecord(text, s, e, texts[r], e_rev, e == e_rev, power_ok, exponents)
-            report.records.append(rec)
+        es = [b - 1 for b in borders]
+        e_revs = [es[r] for r in rev]
+        oks = list(map(int.__eq__, es, e_revs))
+        power_forms = {e: _power_form(e, s) for e in set(es[1:-1])}
+        power_oks, exponents = zip((None, None), *map(power_forms.__getitem__, es[1:-1]), (None, None))
+        start = len(report.records)
+        report.records.extend(map(PatternRecord, texts, repeat(s), es, [texts[r] for r in rev],
+                                  e_revs, oks, power_oks, exponents))
+        visit = {*range(0, len(texts), SPOT_CHECK_STRIDE), *compress(count(), map(not_, oks)),
+                 *compress(count(), map(is_, power_oks, repeat(False)))}
+        for idx in sorted(visit):
+            rec = report.records[start + idx]
             if not rec.reversal_ok:
                 report.violations.append(f"reversal mismatch for {rec.pattern}")
             if rec.power_form_ok is False:
                 report.violations.append(f"power form fails for {rec.pattern}")
             if idx % SPOT_CHECK_STRIDE == 0:
                 report.spot_checks += 1
-                exact = expected_wait_markov(parse(text))
+                exact = expected_wait_markov(parse(rec.pattern))
                 if exact.denominator != 1 or exact != rec.expected:
                     report.violations.append(
                         f"spot check mismatch for {rec.pattern}: chain solve {exact}, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -213,6 +214,28 @@ def test_scan_threads_env_var(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "scan", "--max-len", "4", "--json")
     assert code == 0
     assert payload["violations"] == []
+
+
+def test_scan_threads_env_var_empty_or_malformed(capsys, monkeypatch):
+    _, want, _ = run_json(capsys, "scan", "--max-len", "2", "--json")
+    monkeypatch.setenv("FLIPWAIT_THREADS", "")
+    code, payload, _ = run_json(capsys, "scan", "--max-len", "2", "--json")
+    assert code == 0 and payload == want
+    monkeypatch.setenv("FLIPWAIT_THREADS", "abc")
+    code, out, err = run_cli(capsys, "scan", "--max-len", "2")
+    assert code == 1 and out == ""
+    assert "FLIPWAIT_THREADS" in err and "'abc'" in err
+
+
+# sha256 of stdout of `scan --max-len 10 --json --csv F` followed by the bytes of F
+SCAN_10_JSON_CSV_SHA256 = "936881ddb208fa8b88eacc59ca091323e2f35a1b30e74e83d0e2b32bcf2ab2d2"
+
+
+def test_scan_output_bytes_pinned(capsys, tmp_path):
+    csv_path = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, "scan", "--max-len", "10", "--json", "--csv", str(csv_path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode() + csv_path.read_bytes()).hexdigest() == SCAN_10_JSON_CSV_SHA256
 
 
 def test_expect_all_disagreement_exits_2(capsys, monkeypatch):

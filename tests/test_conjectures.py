@@ -132,6 +132,60 @@ def test_scan_to_length_14_clean():
     assert all(rec.expected == expected_wait_conway(parse(rec.pattern)) for rec in report.records)
 
 
+def _faulty_power_form(expected, s, real=_power_form):
+    ok, exponents = real(expected, s)
+    return ok and exponents not in {(1,), (1, 3)}, exponents
+
+
+def _faulty_chain_solve(p, real=expected_wait_markov):
+    exact = real(p)
+    if p.text().count("T") % 2:
+        return exact + 1
+    return exact / 3 if len(p) in (2, 5) else exact
+
+
+@pytest.mark.parametrize("faults", ["power form", "chain solve", "both"])
+def test_scan_violations_under_injected_faults_match_reference(monkeypatch, faults):
+    # every real scan is clean, so faults are the only way to exercise the
+    # violation path; the scan and the reference must see the same ones
+    import flipwait.conjectures as conjectures_mod
+
+    if faults != "chain solve":
+        faulty = _faulty_power_form
+        monkeypatch.setattr(conjectures_mod, "_power_form", faulty)
+        monkeypatch.setitem(globals(), "_power_form", faulty)
+    if faults != "power form":
+        faulty = _faulty_chain_solve
+        monkeypatch.setattr(conjectures_mod, "expected_wait_markov", faulty)
+        monkeypatch.setitem(globals(), "expected_wait_markov", faulty)
+    for m in range(1, 9):
+        got, want = scan(m), _reference_scan(m)
+        assert got.violations == want.violations
+        assert got.records == want.records
+    kinds = {v.split(" for ")[0] for v in got.violations}
+    assert kinds == {"power form": {"power form fails"},
+                     "chain solve": {"spot check mismatch"},
+                     "both": {"power form fails", "spot check mismatch"}}[faults]
+    if faults == "both":
+        # one word with two violations: power form first, then spot check
+        i = got.violations.index("power form fails for HTTHHTHH")
+        assert got.violations[i + 1].startswith("spot check mismatch for HTTHHTHH:")
+
+
+def test_records_are_immutable_pattern_records(tmp_path):
+    report = scan(6)
+    assert all(type(rec) is PatternRecord for rec in report.records)
+    rec = report.records[40]
+    with pytest.raises(AttributeError):
+        rec.expected = 0
+    assert hash(rec) == hash(PatternRecord(*rec))
+    fields = list(PatternRecord._fields)
+    assert all(list(r) == fields for r in report_as_dict(report)["records"])
+    csv_path = tmp_path / "report.csv"
+    write_csv(report, str(csv_path))
+    assert csv_path.read_text().splitlines()[0].split(",") == fields
+
+
 @pytest.mark.parametrize("max_len", range(1, 13))
 def test_scan_matches_reference_scan(max_len):
     got, want = scan(max_len), _reference_scan(max_len)
