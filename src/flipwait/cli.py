@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 internal consistency failure
 JSON payloads carry "schema": 1 and print exact values as decimal strings
 (integers) or "p/q" strings (non-integer rationals); floats appear only for
 the intrinsically approximate simulation statistics.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the same process, so an in-process caller pays for argparse
+once; importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -39,9 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _exact_str(x: "Fraction | int") -> str:
+    """str(x) of any size: Python's int->str digit limit is lifted for this conversion only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before 3.10.7 have no limit
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _rat_str(x: "Fraction | int") -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _exact_str(Fraction(x))
 
 
 def _approx(x: "Fraction | int") -> str:
@@ -256,7 +271,7 @@ def _cmd_inspect(args) -> int:
             "complement": comp,
             "alternating": is_alternating(p),
             "correlation_set": corr,
-            "expected_wait": str(e),
+            "expected_wait": _exact_str(e),
             "transitions": [list(row) for row in a.transitions],
         })
     else:
@@ -270,7 +285,7 @@ def _cmd_inspect(args) -> int:
             print(f"complement     {comp}")
         print(f"alternating    {is_alternating(p)}")
         print(f"correlations   {corr}")
-        print(f"expected wait  {e}")
+        print(f"expected wait  {_exact_str(e)}")
         print("automaton:")
         print(automaton.dump(a))
     return 0
@@ -336,9 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (PatternError, ValueError) as exc:

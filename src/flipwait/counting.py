@@ -74,6 +74,8 @@ class CountVector:
 
     pattern: Pattern
     counts: tuple[int, ...]
+    # (j, d_j) of the recurrence, as _recurrence_taps gives them; None: derive them again
+    taps: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -87,13 +89,14 @@ class CountVector:
         Counts from the empty stream obey the recurrence from n = s+1 on,
         which recurrence_strings reruns in exact decimal arithmetic.
         """
-        taps = [(j, -d_j) for j, d_j in _recurrence_taps(self.pattern)]
-        return recurrence_strings(self.counts, taps, 0, len(self.pattern) + 1)
+        taps = self.taps if self.taps is not None else _recurrence_taps(self.pattern)
+        negated = [(j, -d_j) for j, d_j in taps]
+        return recurrence_strings(self.counts, negated, 0, len(self.pattern) + 1)
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:
     """Exact counts for n = 0..N by the border-chain warm-up and the recurrence."""
-    return CountVector(p, conditional_count_vector(p, (), N))
+    return CountVector(p, *_count_vector(p, (), N))
 
 
 def _render(symbols, alphabet_size: int) -> str:
@@ -135,6 +138,11 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     entries after it come from the border chain and later entries from the
     recurrence (see the module docstring).
     """
+    return _count_vector(p, given, N)[0]
+
+
+def _count_vector(p: Pattern, given, N: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...] | None]:
+    """conditional_count_vector(p, given, N) and the recurrence taps, None if it needed none."""
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     symbols = as_symbols(given, p.alphabet_size)
@@ -146,7 +154,7 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     if q == s:
         if consumed == r <= N:
             counts[r] = 1
-        return tuple(counts)
+        return tuple(counts), None
     sym = p.symbols
     for i in range(q + 1):
         if r + s - i <= N and match(p, fail, sym[:q] + sym[i:]) == (s, q + s - i):
@@ -157,10 +165,10 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
         for j, d_j in taps:
             v -= d_j * counts[n - j]
         counts[n] = v
-    return tuple(counts)
+    return tuple(counts), taps
 
 
-def _recurrence_taps(p: Pattern) -> list[tuple[int, int]]:
+def _recurrence_taps(p: Pattern) -> tuple[tuple[int, int], ...]:
     """(j, d_j) for the nonzero d_j, 1 <= j <= s, of D(z) = z**s + (1 - c*z)*C(z).
 
     C(z) = sum of z**(s-k) over the correlation set; d_0 = 1.
@@ -172,7 +180,7 @@ def _recurrence_taps(p: Pattern) -> list[tuple[int, int]]:
     for k in correlation_set(p):
         d[s - k] += 1
         d[s - k + 1] -= c
-    return [(j, d[j]) for j in range(1, s + 1) if d[j]]
+    return tuple((j, d[j]) for j in range(1, s + 1) if d[j])
 
 
 def conditional_count(p: Pattern, given, n: int) -> int:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from flipwait import counting, sequences
+from flipwait import cli, counting, sequences
 from flipwait.cli import main
 from flipwait.pattern import parse
 
@@ -246,3 +250,136 @@ def test_expect_all_disagreement_exits_2(capsys, monkeypatch):
     assert code == 2
     assert payload["agree"] is False
     assert "disagreement" in err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; a SystemExit gives ("SystemExit", code)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import flipwait.cli as cli\n"
+        "print(len(built), cli._parser)\n"
+        "cli.main(['expect', 'HH', '--json'])\n"
+        "print(len(built) > 0, cli._parser is not None)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()  # the expect JSON sits between the two checks
+    assert (lines[0], lines[-1]) == ("0 None", "True True")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        for argv in (["expect", "HH", "--json"], ["count", "HT", "--upto", "5"], ["expect"], ["--help"]):
+            _outcome(capsys, argv)
+    assert len(built) == 1
+
+
+# a usage error first, so the parser that the later calls reuse was built by a failing call
+REUSE_RUN = [
+    ["expect"],
+    ["expect", "HTH", "--method", "all"],
+    ["--help"],
+    ["--help"],
+    ["count", "HH", "--upto", "8", "--json"],
+    ["sum", "id1"],
+]
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
+    fresh = []
+    for argv in REUSE_RUN:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(capsys, argv))
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [_outcome(capsys, argv) for argv in REUSE_RUN]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [
+        ("SystemExit", 1), 0, ("SystemExit", 0), ("SystemExit", 0), 0, 1]
+    assert fresh[0][2].endswith("flipwait expect: error: the following arguments are required: pattern\n")
+    assert fresh[5] == (1, "", "flipwait: error: id1 requires --k\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["expect", "HH", "--json"], 0),
+    (["expect", "H" * 15000, "--method", "markov"], 0),
+    (["count", "2,1", "--alphabet", "100", "--upto", "4000", "--json"], 1),
+    (["sum", "id1"], 1),
+    (["expect"], ("SystemExit", 1)),
+])
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys, int_digits, argv, code):
+    int_digits(5000)
+    assert _outcome(capsys, argv)[0] == code
+    assert sys.get_int_max_str_digits() == 5000
+
+
+def test_exact_str_restores_the_limit_when_str_raises(int_digits):
+    class Unprintable:
+        def __str__(self):
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError("no text")
+
+    int_digits(5000)
+    with pytest.raises(RuntimeError, match="no text"):
+        cli._exact_str(Unprintable())
+    assert sys.get_int_max_str_digits() == 5000
+
+
+def test_expect_prints_values_past_the_digit_limit(capsys, int_digits):
+    limit = sys.get_int_max_str_digits()
+    code, payload, err = run_json(capsys, "expect", "H" * 15000, "--method", "markov", "--json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    int_digits(0)
+    assert payload["results"] == {"markov": str(2**15001 - 2)}
+
+
+def test_inspect_prints_expected_wait_past_the_digit_limit(capsys, int_digits):
+    code, payload, _ = run_json(capsys, "inspect", "H" * 14300, "--json")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "inspect", "H" * 14300)
+    assert code == 0
+    int_digits(0)
+    want = str(2**14301 - 2)
+    assert len(want) > 4300
+    assert payload["expected_wait"] == want
+    assert f"expected wait  {want}\n" in out
+
+
+def test_sum_past_the_digit_limit_is_certified(capsys):
+    # the partial sum's denominator 2**20000 has 6021 digits
+    code, payload, err = run_json(capsys, "sum", "id3", "--k", "5", "--m", "5", "--N", "20000", "--json")
+    assert code == 0 and err == ""
+    assert payload["certified"] is True
+    assert len(payload["partial"]) > 4300
+
+
+def test_count_still_stops_at_the_digit_limit(capsys):
+    # lifting the limit here would print 16 MB: count and seq keep Python's own error
+    code, _, err = run_cli(capsys, "count", "2,1", "--alphabet", "100", "--upto", "4000")
+    assert code == 1
+    assert err.startswith("flipwait: error: Exceeds the limit (4300 digits) for integer string conversion")

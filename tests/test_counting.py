@@ -318,3 +318,19 @@ def test_decimal_strings_leave_the_callers_context_alone(int_digits):
         if n % 500 == 0:
             assert decimal.getcontext() is before
     assert n == 3000
+
+
+def test_count_vector_carries_its_taps(monkeypatch):
+    # one count op derives the recurrence taps once, for the counts and their printing
+    calls = []
+    real = counting.correlation_set
+    monkeypatch.setattr(counting, "correlation_set", lambda p: calls.append(p) or real(p))
+    p = parse("HTHHTH")
+    vec = count_first_occurrence(p, 3000)
+    texts = list(vec.decimal_strings())
+    assert len(calls) == 1
+    bare = counting.CountVector(p, vec.counts)
+    assert bare == vec and hash(bare) == hash(vec) and repr(bare) == repr(vec)
+    assert repr(vec) == f"CountVector(pattern={p!r}, counts={vec.counts!r})"
+    # a vector built without taps derives them again and prints the same strings
+    assert list(bare.decimal_strings()) == texts and len(calls) == 2

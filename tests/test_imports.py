@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and none is a wrapper."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,18 @@ def test_module_has_no_unused_import(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_module_level_callable_has_wrapped():
+    # perfbench/tests/test_harness.py::test_end_to_end_runs_have_tracing_off takes any
+    # callable with __wrapped__ in a flipwait module for a live tracer wrapper
+    for path in PACKAGE.glob("*.py"):
+        importlib.import_module("flipwait" if path.stem == "__init__" else f"flipwait.{path.stem}")
+    wrapped = sorted(f"{name}.{attr}" for name, module in sys.modules.items()
+                     if name.startswith("flipwait") and module is not None
+                     for attr, value in vars(module).items()
+                     if callable(value) and hasattr(value, "__wrapped__"))
+    assert not wrapped, (
+        f"{wrapped} carry __wrapped__ (a functools.cache, lru_cache or wraps decorator?): "
+        "perfbench's test_end_to_end_runs_have_tracing_off would read them as tracer wrappers "
+        "left switched on; hold cached state in a plain module global instead")
