@@ -1,12 +1,29 @@
 """Summation identities: exact partial sums of sum(n * E_n / c**n) with tail control.
 
 The waiting-time expectation equals the series sum(n * E_n / c**n).  Every
-partial sum here comes from one Horner pass over a mass sequence m_0..m_N,
-either a pattern's first-occurrence counts or a sequence family's aligned
-coefficients.  Over the common denominator c**N the pass carries two
-numerators, sum(n * m_n * c**(N-n)) for the partial sum and
-sum(m_n * c**(N-n)) for the absorbed mass, each multiplied by c once per
-term; the second gives the certified bound on the neglected tail.
+partial sum here is taken over a mass sequence m_0..m_N, either a pattern's
+first-occurrence counts or a sequence family's aligned coefficients, and
+comes with the absorbed mass sum(m_n / c**n), which gives the certified
+bound on the neglected tail.  Both are returned as numerators over the
+common denominator c**N, by one of two routes with the same exact result.
+
+Horner pass (small N): all N+1 masses, each numerator multiplied by c once
+per term, sum(n * m_n * c**(N-n)) and sum(m_n * c**(N-n)).  That is O(N)
+big-int steps on numbers of O(N) bits.
+
+Jump (N >= _JUMP_PER_DEGREE * d): the masses obey m_n = sum(a_j * m_(n-j))
+for n >= n0, with Q(z) = 1 - sum(a_j * z**j) of degree d, so the series
+G = sum(m_n * z**n) is P/Q with P = Q*G mod z**n0.  Truncated at N,
+    Q * (G - G_N) = z**(N+1) * T_N,  t_j = sum(a_i * m_(N+1+j-i), i = j+1..d),
+so at x = 1/c the absorbed mass is G_N(x) = (P(x) - x**(N+1) * T_N(x)) / Q(x)
+and the partial sum is x * G_N'(x), both exact.  Only the last d masses
+enter T_N; they come from x**k mod chi(x), chi the recurrence's
+characteristic polynomial, by square-and-multiply, dotted with the first
+2d - 1 masses (Fiduccia, SIAM J. Comput. 14, 1985).  That is O(d*d * log N)
+big-int products.  A pattern's Q is D(z) of the counting routine (d = s,
+n0 = s + 1); a family's is its defining recurrence, times (1 - z) when the
+recurrence adds a constant (fib-bar).  Q(1/c) = c**-d for every pattern and
+every family here; were it 0 the Horner pass would run instead.
 
 Tail bound: from any transient automaton state the next s draws finish the
 game with probability at least c**-s, so the survival mass rho_n shrinks by
@@ -23,10 +40,11 @@ from fractions import Fraction
 from itertools import islice
 
 from flipwait.closed_form import wait_alternating
-from flipwait.counting import count_first_occurrence
+from flipwait.counting import _recurrence_taps, count_first_occurrence
 from flipwait.pattern import Pattern
 from flipwait.sequences import (
     SeqFamily,
+    _recurrence,
     alt_g,
     base_index,
     fib_bar,
@@ -40,6 +58,21 @@ from flipwait.sequences import (
 CorollaryParams = tuple[int, ...]
 
 
+# The jump costs a fixed O(d*d) set-up and O(d*d * log N) products, the Horner
+# pass O(N) big-int steps.  Best of 7 on a 2-vCPU Xeon host (CPython 3.11.7),
+# Horner / jump in ms, at N = 10d, 20d, 40d and 80d:
+#   id3 5,5 (d = 12)           0.18/0.26  0.34/0.30  0.74/0.37   1.68/0.58
+#   alt 12 (d = 12)            0.39/0.31  0.73/0.37  1.34/0.49   3.19/0.63
+#   HTHT...HT (s = 24)         0.97/0.92  2.20/1.14  5.35/1.58  13.63/2.84
+#   TTTTTTHTHT...HT (s = 22)   0.20/0.48  0.43/0.65  1.07/0.93   2.59/1.61
+#   id1 2 (d = 2)              0.04/0.07  0.06/0.07  0.09/0.08   0.17/0.08
+#   HT (s = 2)                 0.03/0.05  0.04/0.06  0.06/0.06   0.09/0.07
+# Words with few borders, whose recurrence has few taps, and small d cross
+# last, at about 40d.  At N = 4000 and s = 24 the jump is 5-6x faster, at
+# N = 20000 for id3 5,5 over 10x.
+_JUMP_PER_DEGREE = 40
+
+
 def _series(masses: list[int], c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
     """Partial sum of n * masses[n] / c**n over n = 0..N and its tail bound.
 
@@ -49,21 +82,116 @@ def _series(masses: list[int], c: int, s: int, N: int) -> tuple[Fraction, Fracti
         raise ValueError(f"N must be nonnegative, got {N}")
     if len(masses) != N + 1:
         raise ValueError(f"expected {N + 1} masses for N = {N}, got {len(masses)}")
-    weighted = absorbed = 0
-    for n, m in enumerate(masses):
-        weighted = weighted * c + n * m
-        absorbed = absorbed * c + m
+    absorbed, weighted = _horner(masses, c)
+    return _finish(weighted, absorbed, c, s, N)
+
+
+def _horner(poly: list[int], c: int) -> tuple[int, int]:
+    """c**deg * poly(1/c) and c**deg * (x * poly')(1/c), deg = len(poly) - 1.
+
+    One Horner pass, each numerator multiplied by c once per coefficient.
+    """
+    value = theta = 0
+    for i, a in enumerate(poly):
+        value = value * c + a
+        theta = theta * c + i * a
+    return value, theta
+
+
+def _finish(weighted: int, absorbed: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
+    """The partial sum and tail bound from their numerators over c**N."""
     scale = c**N
     return Fraction(weighted, scale), Fraction(scale - absorbed, scale) * (N + s * c**s)
 
 
+def _jump_series(head, q: list[int], n0: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
+    """_series of masses[:N + 1] from head = masses[:n0 + d - 1] and the recurrence.
+
+    q = Q's coefficients, q[0] = 1, d = len(q) - 1 <= n0 <= N + 1, and
+    sum(q[i] * masses[n - i]) = 0 for every n >= n0.  Q(1/c) != 0.
+    """
+    d = len(q) - 1
+    taps = [(j, -q_j) for j, q_j in enumerate(q) if j and q_j]
+    tail = _last_terms(head[n0 - d:n0 + d - 1], taps, N - n0 + 1)
+    # T_N from the last d masses, P = Q*G mod z**n0 from the first n0
+    t = [sum(-q[i] * tail[d + j - i] for i in range(j + 1, d + 1)) for j in range(d)]
+    p = [sum(q[i] * head[n - i] for i in range(min(n, d) + 1)) for n in range(n0)]
+    th, dth = _horner(t, c)
+    ph, dph = _horner(p, c)
+    qh, dqh = _horner(q, c)
+    # c**(N+d) * G_N(1/c) and its x*d/dx; absorbed = c**N G_N, weighted = c**N x G_N'
+    lift = c ** (N - n0 + d + 1)
+    u = ph * lift - th
+    du = dph * lift - (N + 1) * th - dth
+    absorbed, r1 = divmod(u, qh)
+    weighted, r2 = divmod(du * qh - u * dqh, qh * qh)
+    if r1 or r2:
+        raise ArithmeticError(f"the series jump left a remainder at N = {N}")
+    return _finish(weighted, absorbed, c, s, N)
+
+
+def _last_terms(u: list[int], taps: list[tuple[int, int]], k: int) -> list[int]:
+    """u_k .. u_(k+d-1) of u_n = sum(a_j * u_(n-j)) for n >= d, from u = u_0 .. u_(2d-2).
+
+    u_(k+i) = sum(r_j * u_(j+i)), where r is x**k mod chi(x) = x**d - sum(a_j * x**(d-j)),
+    computed by square-and-multiply.
+    """
+    d = (len(u) + 1) // 2
+
+    def reduce(prod: list[int]) -> list[int]:
+        for e in range(len(prod) - 1, d - 1, -1):
+            top = prod[e]
+            if top:
+                for j, a in taps:
+                    prod[e - j] += a * top
+        return prod[:d]
+
+    r = [1] + [0] * (d - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, r_i in enumerate(r):
+            if r_i:
+                sq[2 * i] += r_i * r_i
+                twice = 2 * r_i
+                for j in range(i + 1, d):
+                    sq[i + j] += twice * r[j]
+        r = reduce(sq)
+        if bit == "1":
+            r = reduce([0] + r)
+    return [sum(r_j * u[j + i] for j, r_j in enumerate(r)) for i in range(d)]
+
+
 def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
-    masses = list(count_first_occurrence(p, N).counts)
-    return _series(masses, p.alphabet_size, len(p), N)
+    s = len(p)
+    if N < _JUMP_PER_DEGREE * s:
+        masses = list(count_first_occurrence(p, N).counts)
+        return _series(masses, p.alphabet_size, s, N)
+    # Q = D(z) of degree s, the recurrence holds from n = s + 1, and D(1/c) = c**-s
+    counts = count_first_occurrence(p, 2 * s - 1)
+    q = [1] + [0] * s
+    for j, d_j in counts.taps if counts.taps is not None else _recurrence_taps(p):
+        q[j] = d_j
+    return _jump_series(counts.counts, q, s + 1, p.alphabet_size, s, N)
 
 
 def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
-    return _series(_aligned_coefficients(f, N), 2, _family_length(f), N)
+    s = _family_length(f)
+    coeffs, const = _recurrence(f)
+    q = [1] + [0] * max(coeffs)
+    for lag, a in coeffs.items():
+        q[lag] -= a
+    n0 = s + 1
+    if const:
+        # Q*G has the coefficient `const` at every power from n0 on, so (1 - z)*Q*G
+        # is a polynomial of degree n0
+        q = [a - b for a, b in zip(q + [0], [0] + q)]
+        n0 += 1
+    d = len(q) - 1
+    n0 = max(n0, d)
+    # Q(1/2) is 2**-d for every family; at a root of Q the jump cannot divide
+    if N >= _JUMP_PER_DEGREE * d and _horner(q, 2)[0]:
+        return _jump_series(_aligned_coefficients(f, n0 + d - 2), q, n0, 2, s, N)
+    return _series(_aligned_coefficients(f, N), 2, s, N)
 
 
 def _family_length(f: SeqFamily) -> int:

@@ -378,6 +378,31 @@ def test_sum_past_the_digit_limit_is_certified(capsys):
     assert len(payload["partial"]) > 4300
 
 
+def test_sum_at_large_n_runs_in_small_memory():
+    # the 10**5 + 1 masses of fib:2 alone take about 430 MB; the jump never holds them
+    script = (
+        "import contextlib, io, json\n"
+        "from flipwait import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['sum', 'id1', '--k', '2', '--N', '100000', '--json'])\n"
+        "print(code, json.loads(out.getvalue())['certified'])\n"
+    )
+    # Linux starts a child's ru_maxrss at the peak of the process it was forked
+    # from, so the sum runs in a grandchild of a fresh interpreter, not of pytest
+    runner = (
+        "import resource, subprocess, sys\n"
+        f"done = subprocess.run([sys.executable, '-c', {script!r}], capture_output=True, text=True, check=True)\n"
+        "print(done.stdout.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", runner], env=env, capture_output=True, text=True, check=True)
+    code, certified, maxrss_kb = done.stdout.split()
+    assert (code, certified) == ("0", "True")
+    assert int(maxrss_kb) < 64 * 1024
+
+
 def test_count_still_stops_at_the_digit_limit(capsys):
     # lifting the limit here would print 16 MB: count and seq keep Python's own error
     code, _, err = run_cli(capsys, "count", "2,1", "--alphabet", "100", "--upto", "4000")

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from flipwait import identities
 from flipwait.counting import count_first_occurrence
 from flipwait.exact import expected_wait_markov
 from flipwait.identities import (
@@ -13,7 +15,16 @@ from flipwait.identities import (
     verify_corollary,
 )
 from flipwait.pattern import enumerate_patterns, parse
-from flipwait.sequences import alt_g, base_index, fib_order, series_shift, value
+from flipwait.sequences import (
+    _recurrence,
+    alt_g,
+    base_index,
+    fib_order,
+    fib_tilde,
+    fib_two_param,
+    series_shift,
+    value,
+)
 
 EPS = Fraction(1, 10**9)
 
@@ -182,3 +193,113 @@ def test_default_truncation_floor():
     assert default_truncation("id1", (1,)) == 200
     assert default_truncation("id1", (8,)) == 400
     assert default_truncation("alt", (12,)) == 600
+
+
+# The jump (the recurrence's last d terms) against the Horner pass, which
+# _reference_series pins above, on both sides of the crossover N = cut.
+
+
+def _cut(d: int) -> int:
+    return identities._JUMP_PER_DEGREE * d
+
+
+def _check_jump_on_words(words):
+    for p in words:
+        cut = _cut(len(p))
+        counts = count_first_occurrence(p, 2 * cut).counts
+        for N in (cut - 1, cut, cut + 1, 2 * cut):
+            partial, bound = _series(list(counts[: N + 1]), p.alphabet_size, len(p), N)
+            assert partial_expectation(p, N) == partial, (p.text(), p.alphabet_size, N)
+            assert tail_bound(p, N) == bound, (p.text(), p.alphabet_size, N)
+
+
+def test_jump_matches_horner_on_coin_words():
+    _check_jump_on_words([p for s in range(1, 8) for p in enumerate_patterns(s, 2)])
+
+
+def test_jump_matches_horner_on_die_words():
+    words = [p for c in (3, 6) for s in range(1, 4) for p in enumerate_patterns(s, c)]
+    # at c = 100 the faces 0, 1 and 99 give every border structure a word of length <= 3 has
+    words += [parse(",".join(map(str, w)), 100) for s in range(1, 4) for w in product((0, 1, 99), repeat=s)]
+    _check_jump_on_words(words)
+
+
+def _degree(family) -> int:
+    """deg Q of the family's recurrence, times (1 - z) when it adds a constant."""
+    coeffs, const = _recurrence(family)
+    return max(coeffs) + (1 if const else 0)
+
+
+def _horner_family(family, Ns) -> dict:
+    shift = series_shift(family)
+    s = base_index(family) + shift
+    masses = [value(family, n - shift) for n in range(max(Ns) + 1)]
+    return {N: _series(masses[: N + 1], 2, s, N) for N in Ns}
+
+
+CRITERION_8 = (
+    [("id1", (k,)) for k in range(1, 9)]
+    + [("id1bar", (k,)) for k in range(1, 9)]
+    + [("id2", (k, m)) for k in range(1, 6) for m in range(1, 6)]
+    + [("id3", (k, m)) for k in range(1, 6) for m in range(1, 6)]
+    + [("alt", (s,)) for s in range(1, 13)]
+)
+
+
+def test_jump_matches_horner_on_criterion_8_grid():
+    for which, params in CRITERION_8:
+        family, _ = corollary_family(which, params)
+        cut = _cut(_degree(family))
+        for N, (partial, bound) in _horner_family(family, (cut - 1, cut + 1, 4000)).items():
+            check = verify_corollary(which, params, N)
+            assert (check.partial, check.bound) == (partial, bound), (which, params, N)
+            assert tail_bound(family, N) == bound, (which, params, N)
+
+
+def test_jump_matches_horner_on_degenerate_two_parameter_families():
+    for make in (fib_two_param, fib_tilde):
+        for k, m in ((0, 0), (0, 1), (0, 3), (2, 0), (3, 0)):
+            family = make(k, m)
+            cut = _cut(_degree(family))
+            for N, (_, bound) in _horner_family(family, (cut - 1, cut, 3 * cut + 7)).items():
+                assert tail_bound(family, N) == bound, (family.label(), N)
+
+
+def test_series_makes_one_count_call_on_each_side_of_the_crossover(monkeypatch):
+    # perfbench's tracer wraps identities' own binding of count_first_occurrence
+    calls = []
+    real = identities.count_first_occurrence
+
+    def counted(p, N):
+        calls.append(N)
+        return real(p, N)
+
+    monkeypatch.setattr(identities, "count_first_occurrence", counted)
+    p = parse("HTTH")
+    cut = _cut(len(p))
+    for N, asked in ((cut - 1, cut - 1), (cut, 2 * len(p) - 1), (10 * cut, 2 * len(p) - 1)):
+        calls.clear()
+        partial_expectation(p, N)
+        assert calls == [asked], N
+        calls.clear()
+        tail_bound(p, N)
+        assert calls == [asked], N
+
+
+# Large N, against closed forms that share nothing with either route.
+BIG_N = 10**5
+
+
+def test_single_face_partial_sum_at_large_n():
+    assert partial_expectation(parse("H"), BIG_N) == 2 - Fraction(BIG_N + 2, 2**BIG_N)
+
+
+def test_single_face_tail_bound_is_the_exact_tail_at_large_n():
+    assert tail_bound(parse("H"), BIG_N) == Fraction(BIG_N + 2, 2**BIG_N)
+
+
+def test_id1_with_unit_k_is_geometric_sum_at_large_n():
+    check = verify_corollary("id1", (1,), BIG_N)
+    assert check.partial == 2 - Fraction(BIG_N + 2, 2**BIG_N)
+    assert check.gap == check.bound == Fraction(BIG_N + 2, 2**BIG_N)
+    assert check.certified
