@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 internal consistency failure
 (method disagreement in `expect --method all`), 3 scan found violations.
 JSON payloads carry "schema": 1 and print exact values as decimal strings
 (integers) or "p/q" strings (non-integer rationals); floats appear only for
-the intrinsically approximate simulation statistics.
+the intrinsically approximate simulation statistics.  The `counts` of
+`count` and the `values` of `seq` are str() of ints, so they hold only "-"
+and digits; `_emit` joins them into the output instead of passing them
+through the JSON encoder, with the same bytes as json.dumps.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process, so an in-process caller pays for argparse
@@ -63,8 +66,21 @@ def _approx(x: "Fraction | int") -> str:
     return f"{float(Fraction(x)):.12g}"
 
 
-def _emit(payload: dict):
-    print(json.dumps(payload, indent=2))
+def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None):
+    """Print json.dumps(payload, indent=2), with `digits` under `key` as its last key if given.
+
+    Every string in `digits` must be str() of an int or of an integral
+    Decimal: it holds only "-" and the digits 0-9, which JSON never escapes.
+    So the array is joined into the output as is, and the encoder, which is
+    pure Python with `indent` and walks every character, formats only the
+    rest.  The list must be nonempty and `key` must not be in `payload`.
+    The bytes equal json.dumps({**payload, key: digits}, indent=2).
+    """
+    if key is None:
+        print(json.dumps(payload, indent=2))
+        return
+    head = json.dumps({**payload, key: []}, indent=2)  # ends in '[]\n}'
+    print(head[:-3], '\n    "', '",\n    "'.join(digits), '"\n  ]\n}', sep="")
 
 
 def _cmd_expect(args) -> int:
@@ -118,8 +134,7 @@ def _cmd_count(args) -> int:
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "upto": args.upto,
-            "counts": list(vec.decimal_strings()),
-        })
+        }, "counts", list(vec.decimal_strings()))
     else:
         print(f"first-occurrence counts for {p.text()}")
         for n, text in enumerate(vec.decimal_strings()):
@@ -136,8 +151,7 @@ def _cmd_seq(args) -> int:
             "command": "seq",
             "family": family.label(),
             "upto": args.upto,
-            "values": list(texts),
-        })
+        }, "values", list(texts))
     else:
         print(f"{family.label()} for n = 0..{args.upto}")
         for n, text in enumerate(texts):

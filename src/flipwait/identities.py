@@ -261,9 +261,13 @@ def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fr
     """
     if which == "id1":
         (k,) = params
+        if k < 1:
+            raise ValueError(f"id1 needs k >= 1, got {k}")
         return fib_order(k), Fraction(2 ** (k + 1) - 2)
     if which == "id1bar":
         (k,) = params
+        if k < 1:
+            raise ValueError(f"id1bar needs k >= 1, got {k}")
         return fib_bar(k), Fraction(2 ** (k + 1))
     if which == "id2":
         k, m = params

@@ -279,8 +279,13 @@ def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
     if upto < 0:
         raise ValueError(f"N must be nonnegative, got {upto}")
     coeffs, const = _recurrence(f)
-    stored = [value(f, n) for n in range(upto + 1)]
-    return recurrence_strings(stored, list(coeffs.items()), const, base_index(f) + max(coeffs) + 1)
+    base = base_index(f)
+    stored = values(f, upto)  # starts at the seed: pad the zeros below it, or drop a seed at n = -1
+    if base > 0:
+        stored = [0] * min(base, upto + 1) + stored
+    elif base < 0:
+        del stored[0]
+    return recurrence_strings(stored, list(coeffs.items()), const, base + max(coeffs) + 1)
 
 
 def alt_recurrence_values(f: SeqFamily, n: int) -> tuple[int, int]:

@@ -138,6 +138,18 @@ def test_sum_requires_params(capsys):
     assert "requires" in err
 
 
+@pytest.mark.parametrize("params, message", [
+    (("id1", "--k", "0"), "id1 needs k >= 1, got 0"),
+    (("id1bar", "--k", "0"), "id1bar needs k >= 1, got 0"),
+    (("id2", "--k", "0", "--m", "0"), "id2 needs k, m >= 1, got (0, 0)"),
+    (("id3", "--k", "0", "--m", "0"), "id3 needs k, m >= 1, got (0, 0)"),
+    (("alt", "--s", "0"), "alt needs s >= 1, got 0"),
+])
+def test_sum_errors_name_the_corollary(capsys, params, message):
+    assert run_cli(capsys, "sum", *params) == (1, "", f"flipwait: error: {message}\n")
+    assert run_cli(capsys, "sum", *params, "--N", "50") == (1, "", f"flipwait: error: {message}\n")
+
+
 def test_sum_alt(capsys):
     code, payload, _ = run_json(capsys, "sum", "alt", "--s", "3", "--N", "300", "--json")
     assert code == 0
@@ -408,3 +420,35 @@ def test_count_still_stops_at_the_digit_limit(capsys):
     code, _, err = run_cli(capsys, "count", "2,1", "--alphabet", "100", "--upto", "4000")
     assert code == 1
     assert err.startswith("flipwait: error: Exceeds the limit (4300 digits) for integer string conversion")
+
+
+def test_count_and_seq_arrays_skip_the_json_encoder(capsys, monkeypatch):
+    # the arrays are joined, not encoded: 3009 string encodes each when they were
+    encoded = []
+    real = json.encoder.encode_basestring_ascii
+
+    def tally(text):
+        encoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", tally)
+    for argv in (("count", "HH"), ("seq", "fib:3")):
+        encoded.clear()
+        code, out, _ = run_cli(capsys, *argv, "--upto", "3000", "--json")
+        assert code == 0 and len(json.loads(out)["counts" if argv[0] == "count" else "values"]) == 3001
+        assert 0 < len(encoded) < 20
+
+
+def test_joined_arrays_print_the_bytes_of_json_dumps(capsys):
+    # the largest count payload of the series benchmark, about 6.2 MB
+    code, out, err = run_cli(capsys, "count", "0,2,1", "--alphabet", "6", "--upto", "4000", "--json")
+    assert code == 0 and err == ""
+    assert len(out) > 6_000_000
+    # digests, so a failure does not make pytest diff two 6 MB strings
+    want = json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+    # the rest of the payload still goes through the encoder, escapes and all
+    payload = {"schema": 1, "command": "seq", "family": 'q"\\\u00e9', "upto": 2}
+    for digits in (["7"], ["-5", "0", "12"]):
+        cli._emit(payload, "values", digits)
+        assert capsys.readouterr().out == json.dumps({**payload, "values": digits}, indent=2) + "\n"
