@@ -197,7 +197,7 @@ def _cmd_sum(args) -> int:
         print(f"  target     = {_rat_str(check.target)}")
         print(f"  gap        ~ {_approx(check.gap)}")
         print(f"  tail bound ~ {_approx(check.bound)}")
-        print(f"  gap < bound: {'yes' if check.certified else 'NO'}")
+        print(f"  gap <= bound: {'yes' if check.certified else 'NO'}")
     return 0
 
 

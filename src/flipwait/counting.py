@@ -27,18 +27,22 @@ D(z) = det(I - zA) = 1 + d_1 z + ... + d_s z**s.  By Cayley-Hamilton
 sum_j d_j A**(s-j) = 0, so for t >= s+1
     sum_j d_j m_(t-j) = e_q A**(t-1-s) (sum_j d_j A**(s-j)) b = 0.
 The warm-up therefore supplies m_1..m_s and every later term is
--(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  The
-cost is O(s*s) for the warm-up plus O(N*|K|) big-int steps, whatever c is.
+-(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  Each
+d_j is 1, -c or 1 - c, so a step adds or subtracts the terms whose tap is
++-1, more than half of a coin word's taps, and multiplies only the others
+(`sequences.tap_classes` groups them).  The cost is O(s*s) for the warm-up
+plus O(N*|K|) big-int steps, whatever c is.
 
 Printing the counts costs more than computing them: CPython's int -> str is
 quadratic in the digit count.  `CountVector.decimal_strings` therefore keeps
 str(int) for counts of up to 1024 bits and, from the first larger count past
 n = s, reruns the same recurrence in `decimal` arithmetic seeded with the
-stored ints just before it.  Every step is an integer sum of products with
-integer taps, so at precision MAX_PREC nothing rounds and each decimal equals
-its int exactly; the Inexact and Rounded traps turn any rounding into an
-error, and the last decimal is checked against the last stored count.  Each
-string then costs time linear in its length.
+stored ints just before it.  Its steps are grouped as in the int pass: an
+exact add or subtract per unit tap and an fma only for the other taps.  All
+of it is integer arithmetic, so at precision MAX_PREC nothing rounds and each
+decimal equals its int exactly; the Inexact and Rounded traps turn any
+rounding into an error, and the last decimal is checked against the last
+stored count.  Each string then costs time linear in its length.
 
 A string-scanning brute force over all c**n outcomes serves as the
 independent oracle at small n; the tests keep the full-length automaton DP
@@ -62,6 +66,7 @@ from flipwait.sequences import (
     fib_tilde,
     fib_two_param,
     recurrence_strings,
+    tap_classes,
     value,
 )
 
@@ -160,10 +165,19 @@ def _count_vector(p: Pattern, given, N: int) -> tuple[tuple[int, ...], tuple[tup
         if r + s - i <= N and match(p, fail, sym[:q] + sym[i:]) == (s, q + s - i):
             counts[r + s - i] = 1
     taps = _recurrence_taps(p)
+    plus, minus, scaled = tap_classes([(j, -d_j) for j, d_j in taps])
+    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
     for n in range(r + s + 1, N + 1):
         v = 0
-        for j, d_j in taps:
-            v -= d_j * counts[n - j]
+        if has_plus:
+            for i in plus:
+                v += counts[n + i]
+        if has_minus:
+            for i in minus:
+                v -= counts[n + i]
+        if has_scaled:
+            for i, coeff in scaled:
+                v += coeff * counts[n + i]
         counts[n] = v
     return tuple(counts), taps
 

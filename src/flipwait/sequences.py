@@ -23,6 +23,7 @@ from __future__ import annotations
 import decimal
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -152,17 +153,42 @@ def _recurrence(f: SeqFamily) -> tuple[dict[int, int], int]:
     return coeffs, const
 
 
+def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Split (lag, coeff) recurrence taps by coefficient: +1, -1 and the rest.
+
+    Returns the offsets -lag of the +1 taps, those of the -1 taps, and
+    (-lag, coeff) for every other tap, so that a step adds the first class,
+    subtracts the second and multiplies only the third.  An offset reads
+    history[n - lag] as history[n + offset], or as window[offset] in a window
+    that ends just before n.  The taps are only regrouped: every step still
+    sums all of them.  Callers test a bool per class before looping over it:
+    an empty class costs one test, not an empty loop.
+    """
+    plus = tuple(-lag for lag, coeff in taps if coeff == 1)
+    minus = tuple(-lag for lag, coeff in taps if coeff == -1)
+    scaled = tuple((-lag, coeff) for lag, coeff in taps if coeff not in (1, -1))
+    return plus, minus, scaled
+
+
 def _iterate(coeffs: dict[int, int], const: int) -> Iterator[int]:
     """Yield seed 1 then successive recurrence values; history below the seed is zero."""
     max_lag = max(coeffs)
-    taps = [(-lag, coeff) for lag, coeff in coeffs.items()]
+    plus, minus, scaled = tap_classes(coeffs.items())
+    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
     window = [0] * max_lag
     window[-1] = 1
     yield 1
     while True:
         nxt = const
-        for i, coeff in taps:
-            nxt += coeff * window[i]
+        if has_plus:
+            for i in plus:
+                nxt += window[i]
+        if has_minus:
+            for i in minus:
+                nxt -= window[i]
+        if has_scaled:
+            for i, coeff in scaled:
+                nxt += coeff * window[i]
         yield nxt
         window.append(nxt)
         del window[0]
@@ -210,11 +236,14 @@ def value(f: SeqFamily, n: int) -> int:
 
 
 # CPython's int -> str is quadratic in the digit count, a decimal recurrence
-# step plus str(Decimal) is linear.  On a 2-vCPU Xeon host (CPython 3.11.7)
-# str(int) takes 0.86 us at 768 bits, 1.48 us at 1024 and 23.7 us at 4096,
-# against 1.01, 1.24 and 3.99 us for a 2-tap decimal step plus str.  The two
-# break even between 768 and 1024 bits; values of up to 1024 bits keep
-# str(int), so short vectors such as coin words at N = 400 never leave it.
+# step plus str(Decimal) is linear.  On a 2-vCPU shared Xeon host (CPython
+# 3.11.7, best of several timeit runs) str(int) takes 1.06 us at 768 bits,
+# 1.80 us at 1024 and 28.9 us at 4096.  A 2-tap decimal step plus str takes 1.11,
+# 2.01 and 4.09 us as an fma and a subtract (a coin word's c and -1 taps),
+# 0.99, 1.76 and 3.57 us as two adds, and 1.21, 2.26 and 4.75 us as the two
+# fma calls of an ungrouped step.  The two routes still break even between
+# 768 and 1024 bits; values of up to 1024 bits keep str(int), so short
+# vectors such as coin words at N = 400 never leave it.
 _DECIMAL_BITS = 1024
 # Integer arithmetic at MAX_PREC never rounds; if it ever did, the Inexact and
 # Rounded traps raise instead of printing wrong digits.  The rerun calls this
@@ -251,16 +280,24 @@ def recurrence_strings(stored, taps, const: int, start: int) -> Iterator[str]:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     max_lag = max((lag for lag, _ in taps), default=0)
     # converting an int to Decimal is exact in any context
-    window = [decimal.Decimal(v) for v in stored[n - max_lag:n]]
-    dtaps = [(-lag, decimal.Decimal(coeff)) for lag, coeff in taps]
+    window = deque((decimal.Decimal(v) for v in stored[n - max_lag:n]), max_lag)
+    plus, minus, scaled = tap_classes(taps)
+    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
+    scaled = [(i, decimal.Decimal(coeff)) for i, coeff in scaled]
     dconst = decimal.Decimal(const)
-    fma = _EXACT.fma
+    add, subtract, fma = _EXACT.add, _EXACT.subtract, _EXACT.fma
     for n in range(n, total):
         v = dconst
-        for i, coeff in dtaps:
-            v = fma(coeff, window[i], v)
+        if has_plus:
+            for i in plus:
+                v = add(v, window[i])
+        if has_minus:
+            for i in minus:
+                v = subtract(v, window[i])
+        if has_scaled:
+            for i, coeff in scaled:
+                v = fma(coeff, window[i], v)
         window.append(v)
-        del window[0]
         text = str(v)
         if limit and len(text) > limit:
             text = str(stored[n])  # over the limit: CPython raises

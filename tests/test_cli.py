@@ -156,6 +156,20 @@ def test_sum_alt(capsys):
     assert payload["target"] == "10"
 
 
+@pytest.mark.parametrize("params", [("id1", "--k", "1"), ("alt", "--s", "1")])
+def test_sum_label_matches_the_certificate(capsys, params):
+    # single-face families: at N = 5 the gap equals the tail bound, 7/32, and
+    # `certified` is gap <= bound, so the text must not claim a strict inequality
+    code, payload, _ = run_json(capsys, "sum", *params, "--N", "5", "--json")
+    assert code == 0
+    assert payload["gap"] == payload["tail_bound"] == "7/32"
+    assert payload["certified"] is True
+    code, out, _ = run_cli(capsys, "sum", *params, "--N", "5")
+    assert code == 0
+    assert "  gap        ~ 0.21875\n  tail bound ~ 0.21875\n  gap <= bound: yes\n" in out
+    assert "gap < bound" not in out
+
+
 def test_simulate_deterministic(capsys):
     args = ("simulate", "--pattern", "HH", "--trials", "20000", "--seed", "42", "--json")
     code, first, _ = run_json(capsys, *args)

@@ -16,7 +16,7 @@ from flipwait.counting import (
     verify_count_families,
 )
 from flipwait.pattern import Pattern, as_symbols, enumerate_patterns, parse, runs
-from flipwait.sequences import _DECIMAL_BITS
+from flipwait.sequences import _DECIMAL_BITS, tap_classes
 
 H, T = 0, 1
 
@@ -236,6 +236,36 @@ def test_count_vector_matches_full_dp_sampled():
         given = p.symbols[: rng.randint(0, len(p))] + tail
         got = conditional_count_vector(p, given, 400)
         assert got == _reference_count_vector(p, given, 400), (p, given)
+
+
+def _first_use_words(s: int, c: int):
+    """Words of length s whose symbols first appear in the order 0, 1, 2, ...
+
+    Every word is such a word up to renaming its symbols, which changes
+    neither its correlation set nor its counts.
+    """
+    for symbols in product(range(min(s, c)), repeat=s):
+        if all(x <= max(symbols[:i], default=-1) + 1 for i, x in enumerate(symbols)):
+            yield Pattern(symbols, c)
+
+
+def test_count_vector_every_tap_class_matches_full_dp():
+    # D's coefficients are +1, -c and 1 - c, so the recurrence's taps are -1,
+    # c and c - 1: a +1 tap at c = 2, a multiplied one at c >= 3
+    words = [p for s in range(1, 11) for p in enumerate_patterns(s, 2)]
+    words += [p for c in (3, 6, 100) for s in range(1, 5) for p in _first_use_words(s, c)]
+    reached = set()
+    shapes = set()
+    for p in words:
+        c = p.alphabet_size
+        taps = [(j, -d_j) for j, d_j in counting._recurrence_taps(p)]
+        reached.update((c, coeff) for _, coeff in taps)
+        shapes.add(tuple(bool(cls) for cls in tap_classes(taps)))
+        assert count_first_occurrence(p, 60).counts == _reference_count_vector(p, (), 60), p.text()
+    assert reached == {(c, coeff) for c in (2, 3, 6, 100) for coeff in (-1, c, c - 1)}
+    # every class is both used and skipped: HH has only +1 taps, HT none,
+    # HHTHH all three, 0,0 at c = 3 only multiplied ones
+    assert {(True, False, False), (False, True, True), (True, True, True), (False, False, True)} <= shapes
 
 
 def test_large_alphabet_count_matches_full_dp():

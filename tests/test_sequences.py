@@ -316,3 +316,22 @@ def test_recurrence_strings_checks_the_last_stored_value(int_digits):
     texts = recurrence_strings(stored, [(1, 1), (2, 1)], 0, 2)
     with pytest.raises(ArithmeticError, match="n = 1999"):
         list(texts)
+
+
+def test_recurrence_strings_every_tap_class(int_digits, drain):
+    # two +1 taps, two -1 taps, a 3 and a -2 and a constant, run as plain ints
+    taps = [(1, 3), (2, 1), (3, -1), (4, 1), (5, -2), (6, -1)]
+    const = 5
+    stored = [2, -1, 0, 7, 3, 1]
+    for n in range(6, 1500):
+        stored.append(const + sum(coeff * stored[n - lag] for lag, coeff in taps))
+    assert stored[-1].bit_length() > 2 * _DECIMAL_BITS
+    int_digits(0)
+    assert list(recurrence_strings(stored, taps, const, 6)) == [str(v) for v in stored]
+    # at 640 digits the same strings come out, then CPython's own error
+    int_digits(640)
+    first_over = min(n for n, v in enumerate(stored) if abs(v) >= 10**640)
+    assert stored[first_over - 1].bit_length() > _DECIMAL_BITS
+    got = drain(recurrence_strings(stored, taps, const, 6))
+    assert got == drain(str(v) for v in stored)
+    assert len(got[0]) == first_over and got[1] is not None
