@@ -21,16 +21,18 @@ exact for every 64-bit x (Granlund & Montgomery, PLDI 1994, Thm 4.2), and
 it sits in the low w bytes of the lane.  A trial's residues form one
 stretch of a bytes object, w bytes per symbol, and one `bytes.find` per
 trial, bounded to that stretch and accepted only at a multiple of w,
-finds the first occurrence of the word, which is read back from the
-automaton table.  Each round redraws a survivor's last s-1 symbols, so an
-occurrence may straddle two rounds.  Game lengths, sums and the trial named
-by a flip-cap error equal those of the one-draw-at-a-time loop, kept in the
-tests as the reference, bit for bit.
+finds the first occurrence of the word.  Each round redraws a survivor's
+last s-1 symbols, so an occurrence may straddle two rounds.  Game lengths,
+sums and the trial named by a flip-cap error equal those of the
+one-draw-at-a-time loop, kept in the tests as the reference, bit for bit.
 """
 
 from itertools import compress, repeat
 from math import isqrt
 from operator import mul
+
+from flipwait.automaton import failure_links
+from flipwait.pattern import Pattern
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -43,8 +45,8 @@ ROUND_COST = 100  # overhead of one round, in lanes
 NOT_FOUND = -1
 
 
-def _word(flat, accept: int, nsym: int) -> tuple[list[int], list[int]]:
-    """The word S whose prefix automaton `flat` is, and its failure links.
+def _word(flat, accept: int, nsym: int) -> Pattern:
+    """The word S whose prefix automaton `flat` is.
 
     S[q] is the one symbol taking state q to q+1.  Row 0 sends only S[0] to
     1, row q >= 1 equals row f(q) except at S[q], and the accept row is
@@ -68,7 +70,7 @@ def _word(flat, accept: int, nsym: int) -> tuple[list[int], list[int]]:
             fail.append(flat[fail[q] * c + x])
     if list(flat[s * c:]) != [s] * c:
         raise ValueError(f"accept row {s} of the table is not absorbing")
-    return word, fail
+    return Pattern(tuple(word), c)
 
 
 def _finalize(z: int, m64: int) -> int:
@@ -86,15 +88,24 @@ def _aligned(buf: bytes, target: bytes, hit: int, end: int, w: int) -> int:
 
 
 def run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
-    """Play `trials` games; returns (total_flips, total_sq, min_flips, max_flips).
+    """`play` for the word whose row-major automaton table (state * nsym +
+    symbol) is `flat`; raises ValueError if the table is no such automaton.
 
-    flat is the row-major automaton table (state * nsym + symbol) of the
-    word being waited for.  Raises ValueError if the table is no such
-    automaton, or naming the first trial in order that would draw more
-    than flip_cap symbols; no trial draws past flip_cap.
+    The table entry stays for callers that hold a table, such as the
+    benchmark's batch-split check and the tests' one-draw reference.
     """
-    word, fail = _word(flat, accept, nsym)
-    s, c = accept, nsym
+    return play(_word(flat, accept, nsym), trials, seed, first_trial, flip_cap)
+
+
+def play(p: Pattern, trials, seed, first_trial, flip_cap):
+    """Play `trials` games waiting for p; returns (total_flips, total_sq, min_flips, max_flips).
+
+    Trial t of the call draws from substream first_trial + t.  Raises
+    ValueError naming the first trial in order that would draw more than
+    flip_cap symbols; no trial draws past flip_cap.
+    """
+    word, fail = p.symbols, failure_links(p)
+    s, c = len(p), p.alphabet_size
     e, q = 0, s
     while q:
         e += c**q

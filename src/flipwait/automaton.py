@@ -3,10 +3,10 @@
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
 state, because the game ends at the first occurrence.  Only `inspect`,
-which prints it, and the simulator, which reads the word back from it,
-use this table.  The chain solve, the correlation sets, the counts and the
-conditional waits need only `failure_links`, the O(s) border chain the
-table is built from, and walk a given stream along it with `match`.
+which prints it, uses this table.  The chain solve, the correlation sets,
+the counts, the conditional waits and the simulator need only
+`failure_links`, the O(s) border chain the table is built from, and walk a
+given stream along it with `match`.
 """
 
 from __future__ import annotations

@@ -181,6 +181,17 @@ def test_simulate_deterministic(capsys):
     assert first["total_flips"] == str(round(first["mean"] * 20000))
 
 
+def test_simulate_text_report(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--pattern", "HT", "--trials", "3", "--seed", "1")
+    assert code == 0
+    assert out == (
+        "simulated 3 games for HT (seed 1, python kernel)\n"
+        "  mean      = 3.333333\n"
+        "  std error = 0.666667\n"
+        "  min/max   = 2/4\n"
+    )
+
+
 def test_scan_writes_reports(capsys, tmp_path):
     out_json = tmp_path / "scan.json"
     out_csv = tmp_path / "scan.csv"

@@ -4,22 +4,11 @@ import tracemalloc
 
 import pytest
 
-from flipwait import _simpy
+from flipwait import _simpy, automaton
 from flipwait.automaton import build
 from flipwait.exact import expected_wait_markov
 from flipwait.pattern import Pattern, enumerate_patterns, parse
-from flipwait.simulate import (
-    BATCH_SIZE,
-    FLIP_CAP,
-    SimReport,
-    _kernel,
-    compiled_batch,
-    flip_cap,
-    kernel_name,
-    simulate_wait,
-)
-
-KERNELS = ["python"] + (["compiled"] if kernel_name() == "compiled" else [])
+from flipwait.simulate import FLIP_CAP, SimReport, flip_cap, kernel_name, simulate_wait
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -85,16 +74,6 @@ def test_different_seeds_differ():
     assert simulate_wait(p, 20000, 1) != simulate_wait(p, 20000, 2)
 
 
-@pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
-def test_kernels_bit_identical():
-    for text, trials, seed in (("HH", 50000, 42), ("HTHT", 30000, 7), ("0,1", 20000, 99)):
-        alphabet = 2 if "," not in text else 3
-        p = parse(text, alphabet)
-        assert simulate_wait(p, trials, seed, kernel="python") == simulate_wait(
-            p, trials, seed, kernel="compiled"
-        )
-
-
 def test_batch_split_does_not_change_totals():
     # per-trial substreams: one big batch equals the sum of small batches
     p = parse("HH")
@@ -143,17 +122,12 @@ def test_min_flips_at_least_pattern_length():
         assert rep.mean >= len(text)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_flip_cap_raises(kernel):
-    from flipwait.automaton import build
-    from flipwait.simulate import _kernel
-
-    impl = _kernel(kernel)
+def test_flip_cap_raises():
     p = parse("H" * 12)
     a = build(p)
     flat = [t for row in a.transitions for t in row]
     with pytest.raises(ValueError, match="flip cap"):
-        impl.run_batch(flat, a.accept_state, 2, 100, 42, 0, 5)
+        _simpy.run_batch(flat, a.accept_state, 2, 100, 42, 0, 5)
 
 
 def test_coverage_of_exact_value_across_seeds():
@@ -161,7 +135,7 @@ def test_coverage_of_exact_value_across_seeds():
     # exact expectation for nearly every (pattern, seed) pair
     trials = 4000
     patterns = [p for s in range(1, 4) for p in enumerate_patterns(s, 2)]
-    # lengths 4 and 5 sampled to keep the pure-Python fallback viable
+    # lengths 4 and 5 sampled to keep the pure-Python kernel's run short
     for s in (4, 5):
         patterns.extend(list(enumerate_patterns(s, 2))[:: max(1, 2**s // 6)])
     hits = 0
@@ -218,20 +192,20 @@ def _identity_cases():
 def test_lockstep_kernel_matches_reference(word, c, trials, seed, first, cap):
     flat = _flat(word, c)
     args = (flat, len(word), c, trials, seed, first, cap)
-    assert _outcome(_simpy.run_batch, *args) == _outcome(_reference_run_batch, *args)
+    expected = _outcome(_reference_run_batch, *args)
+    assert _outcome(_simpy.run_batch, *args) == expected
+    assert _outcome(_simpy.play, Pattern(word, c), trials, seed, first, cap) == expected
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_flip_cap_boundary_names_the_first_trial_over_it(kernel):
-    impl = _kernel(kernel)
+def test_flip_cap_boundary_names_the_first_trial_over_it():
     word, trials, seed = (0, 1, 1), 40, 77
     flat = _flat(word, 2)
     lengths = [_reference_run_batch(flat, 3, 2, 1, seed, t, FLIP_CAP)[0] for t in range(trials)]
     longest = max(lengths)
-    assert impl.run_batch(flat, 3, 2, trials, seed, 0, longest) == _reference_run_batch(
+    assert _simpy.run_batch(flat, 3, 2, trials, seed, 0, longest) == _reference_run_batch(
         flat, 3, 2, trials, seed, 0, FLIP_CAP)
     with pytest.raises(ValueError, match=f"flip cap {longest - 1} exceeded in trial {lengths.index(longest)}$"):
-        impl.run_batch(flat, 3, 2, trials, seed, 0, longest - 1)
+        _simpy.run_batch(flat, 3, 2, trials, seed, 0, longest - 1)
 
 
 def test_flip_cap_scales_with_the_expected_wait():
@@ -239,26 +213,37 @@ def test_flip_cap_scales_with_the_expected_wait():
     assert flip_cap(parse("H" * 22)) == 64 * (2**23 - 2)
 
 
-def test_compiled_batch_keeps_uint64_sums_from_wrapping():
-    assert compiled_batch(FLIP_CAP) == BATCH_SIZE
-    for cap in (FLIP_CAP, 64 * (2**23 - 2), 10**9, 3 * 10**9):
-        batch = compiled_batch(cap)
-        assert batch * cap * cap < 2**63
-        assert batch == BATCH_SIZE or (batch + 1) * cap * cap >= 2**63
-    assert compiled_batch(2**32) == 0
-
-
 def test_simulate_wait_passes_the_derived_cap(monkeypatch):
     # P(T > 10**7) is about 0.30 per trial for H*22, so a fixed cap fails most runs
     caps = []
 
-    def run_batch(flat, accept, nsym, trials, seed, first_trial, cap):
+    def play(p, trials, seed, first_trial, cap):
         caps.append(cap)
-        return accept * trials, accept * accept * trials, accept, accept
+        s = len(p)
+        return s * trials, s * s * trials, s, s
 
-    monkeypatch.setattr(_simpy, "run_batch", run_batch)
+    monkeypatch.setattr(_simpy, "play", play)
     report = simulate_wait(parse("H" * 22), 2, 3, kernel="python")
     assert caps == [64 * (2**23 - 2)] and report.min_flips == 22
+
+
+def test_simulate_wait_builds_no_table(monkeypatch):
+    expected = simulate_wait(parse("HTH"), 3000, 5)
+
+    def build(*args):
+        raise AssertionError("simulate_wait built the automaton table")
+
+    # the dataclass too, so that a from-import of build cannot slip past
+    monkeypatch.setattr(automaton, "build", build)
+    monkeypatch.setattr(automaton, "PrefixAutomaton", build)
+    assert simulate_wait(parse("HTH"), 3000, 5) == expected
+
+
+def test_simulate_wait_has_one_kernel():
+    assert kernel_name() == "python"
+    assert simulate_wait(parse("HT"), 50, 1, kernel="python") == simulate_wait(parse("HT"), 50, 1)
+    with pytest.raises(ValueError, match="'compiled'"):
+        simulate_wait(parse("HT"), 50, 1, kernel="compiled")
 
 
 HTH = [1, 0, 1, 2, 3, 0, 3, 3]  # rows (1,0) (1,2) (3,0) (3,3)
