@@ -29,16 +29,17 @@ sum_j d_j A**(s-j) = 0, so for t >= s+1
 The warm-up therefore supplies m_1..m_s and every later term is
 -(d_1 m_(t-1) + ... + d_s m_(t-s)), with at most 2|K|+1 nonzero taps.  Each
 d_j is 1, -c or 1 - c, so a step adds or subtracts the terms whose tap is
-+-1, more than half of a coin word's taps, and multiplies only the others
-(`sequences.tap_classes` groups them).  The cost is O(s*s) for the warm-up
++-1, more than half of a coin word's taps, and multiplies only the others;
+`recurrence.Recurrence` steps them.  The cost is O(s*s) for the warm-up
 plus O(N*|K|) big-int steps, whatever c is.
 
 Printing the counts costs more than computing them: CPython's int -> str is
 quadratic in the digit count.  `CountVector.decimal_strings` therefore keeps
 str(int) for counts of up to 1024 bits and, from the first larger count past
 n = s, reruns the same recurrence in `decimal` arithmetic seeded with the
-stored ints just before it.  Its steps are grouped as in the int pass: an
-exact add or subtract per unit tap and an fma only for the other taps.  All
+stored ints just before it (`Recurrence.strings`).  Its steps are grouped as
+in the int pass: an exact add or subtract per unit tap and an fma only for
+the other taps.  All
 of it is integer arithmetic, so at precision MAX_PREC nothing rounds and each
 decimal equals its int exactly; the Inexact and Rounded traps turn any
 rounding into an error, and the last decimal is checked against the last
@@ -58,17 +59,8 @@ from typing import Iterator
 from flipwait.automaton import failure_links, match
 from flipwait.exact import correlation_set
 from flipwait.pattern import Pattern, as_symbols
-from flipwait.sequences import (
-    SeqFamily,
-    alt_g,
-    fib_bar,
-    fib_order,
-    fib_tilde,
-    fib_two_param,
-    recurrence_strings,
-    tap_classes,
-    value,
-)
+from flipwait.recurrence import Recurrence
+from flipwait.sequences import SeqFamily, alt_g, fib_bar, fib_order, fib_tilde, fib_two_param, value
 
 BRUTE_LIMIT = 1 << 24
 
@@ -79,8 +71,8 @@ class CountVector:
 
     pattern: Pattern
     counts: tuple[int, ...]
-    # (j, d_j) of the recurrence, as _recurrence_taps gives them; None: derive them again
-    taps: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
+    # the recurrence the counts obey from n = s + 1 on; None: derive it again
+    recurrence: Recurrence | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -92,11 +84,10 @@ class CountVector:
         """str(v) for every count, in time linear in its digits past ~1024 bits.
 
         Counts from the empty stream obey the recurrence from n = s+1 on,
-        which recurrence_strings reruns in exact decimal arithmetic.
+        which Recurrence.strings reruns in exact decimal arithmetic.
         """
-        taps = self.taps if self.taps is not None else _recurrence_taps(self.pattern)
-        negated = [(j, -d_j) for j, d_j in taps]
-        return recurrence_strings(self.counts, negated, 0, len(self.pattern) + 1)
+        rec = self.recurrence if self.recurrence is not None else _pattern_recurrence(self.pattern)
+        return rec.strings(self.counts, len(self.pattern) + 1)
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:
@@ -146,40 +137,33 @@ def conditional_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     return _count_vector(p, given, N)[0]
 
 
-def _count_vector(p: Pattern, given, N: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...] | None]:
-    """conditional_count_vector(p, given, N) and the recurrence taps, None if it needed none."""
+def _count_vector(p: Pattern, given, N: int) -> tuple[tuple[int, ...], Recurrence | None]:
+    """conditional_count_vector(p, given, N) and its recurrence, None if it needed none."""
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     symbols = as_symbols(given, p.alphabet_size)
     r = len(symbols)
-    counts = [0] * (N + 1)
     s = len(p)
     fail = failure_links(p)
     q, consumed = match(p, fail, symbols)
     if q == s:
+        counts = [0] * (N + 1)
         if consumed == r <= N:
             counts[r] = 1
         return tuple(counts), None
+    counts = [0] * min(r + s + 1, N + 1)
     sym = p.symbols
     for i in range(q + 1):
         if r + s - i <= N and match(p, fail, sym[:q] + sym[i:]) == (s, q + s - i):
             counts[r + s - i] = 1
-    taps = _recurrence_taps(p)
-    plus, minus, scaled = tap_classes([(j, -d_j) for j, d_j in taps])
-    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
-    for n in range(r + s + 1, N + 1):
-        v = 0
-        if has_plus:
-            for i in plus:
-                v += counts[n + i]
-        if has_minus:
-            for i in minus:
-                v -= counts[n + i]
-        if has_scaled:
-            for i, coeff in scaled:
-                v += coeff * counts[n + i]
-        counts[n] = v
-    return tuple(counts), taps
+    rec = _pattern_recurrence(p)
+    rec.extend(counts, N + 1)
+    return tuple(counts), rec
+
+
+def _pattern_recurrence(p: Pattern) -> Recurrence:
+    """a_n = -(d_1 a_(n-1) + ... + d_s a_(n-s)), from the taps of D(z)."""
+    return Recurrence(tuple((j, -d_j) for j, d_j in _recurrence_taps(p)))
 
 
 def _recurrence_taps(p: Pattern) -> tuple[tuple[int, int], ...]:

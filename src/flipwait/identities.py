@@ -20,10 +20,12 @@ and the partial sum is x * G_N'(x), both exact.  Only the last d masses
 enter T_N; they come from x**k mod chi(x), chi the recurrence's
 characteristic polynomial, by square-and-multiply, dotted with the first
 2d - 1 masses (Fiduccia, SIAM J. Comput. 14, 1985).  That is O(d*d * log N)
-big-int products.  A pattern's Q is D(z) of the counting routine (d = s,
-n0 = s + 1); a family's is its defining recurrence, times (1 - z) when the
-recurrence adds a constant (fib-bar).  Q(1/c) = c**-d for every pattern and
-every family here; were it 0 the Horner pass would run instead.
+big-int products (`Recurrence.last_terms`).  Q is `Recurrence.denominator`
+of the recurrence the masses obey: for a pattern D(z) of the counting
+routine (d = s, n0 = s + 1), for a family its defining recurrence, times
+(1 - z) when the recurrence adds a constant (fib-bar).  Q(1/c) = c**-d for
+every pattern and every family here; were it 0 the Horner pass would run
+instead.
 
 Tail bound: from any transient automaton state the next s draws finish the
 game with probability at least c**-s, so the survival mass rho_n shrinks by
@@ -37,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from flipwait.closed_form import wait_alternating
-from flipwait.counting import _recurrence_taps, count_first_occurrence
+from flipwait.counting import count_first_occurrence
 from flipwait.pattern import Pattern
+from flipwait.recurrence import Recurrence
 from flipwait.sequences import (
     SeqFamily,
     _recurrence,
@@ -51,7 +53,6 @@ from flipwait.sequences import (
     fib_order,
     fib_tilde,
     fib_two_param,
-    iter_values,
     series_shift,
 )
 
@@ -111,8 +112,8 @@ def _jump_series(head, q: list[int], n0: int, c: int, s: int, N: int) -> tuple[F
     sum(q[i] * masses[n - i]) = 0 for every n >= n0.  Q(1/c) != 0.
     """
     d = len(q) - 1
-    taps = [(j, -q_j) for j, q_j in enumerate(q) if j and q_j]
-    tail = _last_terms(head[n0 - d:n0 + d - 1], taps, N - n0 + 1)
+    taps = tuple((j, -q_j) for j, q_j in enumerate(q) if j and q_j)
+    tail = Recurrence(taps).last_terms(head[n0 - d:n0 + d - 1], N - n0 + 1)
     # T_N from the last d masses, P = Q*G mod z**n0 from the first n0
     t = [sum(-q[i] * tail[d + j - i] for i in range(j + 1, d + 1)) for j in range(d)]
     p = [sum(q[i] * head[n - i] for i in range(min(n, d) + 1)) for n in range(n0)]
@@ -130,37 +131,6 @@ def _jump_series(head, q: list[int], n0: int, c: int, s: int, N: int) -> tuple[F
     return _finish(weighted, absorbed, c, s, N)
 
 
-def _last_terms(u: list[int], taps: list[tuple[int, int]], k: int) -> list[int]:
-    """u_k .. u_(k+d-1) of u_n = sum(a_j * u_(n-j)) for n >= d, from u = u_0 .. u_(2d-2).
-
-    u_(k+i) = sum(r_j * u_(j+i)), where r is x**k mod chi(x) = x**d - sum(a_j * x**(d-j)),
-    computed by square-and-multiply.
-    """
-    d = (len(u) + 1) // 2
-
-    def reduce(prod: list[int]) -> list[int]:
-        for e in range(len(prod) - 1, d - 1, -1):
-            top = prod[e]
-            if top:
-                for j, a in taps:
-                    prod[e - j] += a * top
-        return prod[:d]
-
-    r = [1] + [0] * (d - 1)
-    for bit in bin(k)[2:]:
-        sq = [0] * (2 * d - 1)
-        for i, r_i in enumerate(r):
-            if r_i:
-                sq[2 * i] += r_i * r_i
-                twice = 2 * r_i
-                for j in range(i + 1, d):
-                    sq[i + j] += twice * r[j]
-        r = reduce(sq)
-        if bit == "1":
-            r = reduce([0] + r)
-    return [sum(r_j * u[j + i] for j, r_j in enumerate(r)) for i in range(d)]
-
-
 def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
     s = len(p)
     if N < _JUMP_PER_DEGREE * s:
@@ -168,30 +138,21 @@ def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
         return _series(masses, p.alphabet_size, s, N)
     # Q = D(z) of degree s, the recurrence holds from n = s + 1, and D(1/c) = c**-s
     counts = count_first_occurrence(p, 2 * s - 1)
-    q = [1] + [0] * s
-    for j, d_j in counts.taps if counts.taps is not None else _recurrence_taps(p):
-        q[j] = d_j
-    return _jump_series(counts.counts, q, s + 1, p.alphabet_size, s, N)
+    return _jump_series(counts.counts, counts.recurrence.denominator(), s + 1, p.alphabet_size, s, N)
 
 
 def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
     s = _family_length(f)
-    coeffs, const = _recurrence(f)
-    q = [1] + [0] * max(coeffs)
-    for lag, a in coeffs.items():
-        q[lag] -= a
-    n0 = s + 1
-    if const:
-        # Q*G has the coefficient `const` at every power from n0 on, so (1 - z)*Q*G
-        # is a polynomial of degree n0
-        q = [a - b for a, b in zip(q + [0], [0] + q)]
-        n0 += 1
+    rec = _recurrence(f)
+    q = rec.denominator()
     d = len(q) - 1
-    n0 = max(n0, d)
+    # with a constant, Q*G before the (1 - z) factor has the coefficient `const`
+    # at every power from s + 1 on, so (1 - z)*Q*G is a polynomial of degree s + 1
+    n0 = max(s + 2 if rec.const else s + 1, d)
     # Q(1/2) is 2**-d for every family; at a root of Q the jump cannot divide
     if N >= _JUMP_PER_DEGREE * d and _horner(q, 2)[0]:
-        return _jump_series(_aligned_coefficients(f, n0 + d - 2), q, n0, 2, s, N)
-    return _series(_aligned_coefficients(f, N), 2, s, N)
+        return _jump_series(_aligned_coefficients(f, rec, n0 + d - 2), q, n0, 2, s, N)
+    return _series(_aligned_coefficients(f, rec, N), 2, s, N)
 
 
 def _family_length(f: SeqFamily) -> int:
@@ -218,15 +179,15 @@ def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
     return _family_series(subject, N)[1]
 
 
-def _aligned_coefficients(f: SeqFamily, N: int) -> list[int]:
-    """Series coefficients a_0..a_N with a_n = family value at n - shift."""
-    start = _family_length(f)
-    out = [0] * min(start, N + 1)
-    if start > N:
-        return out
-    for _, v in islice(iter_values(f), N - start + 1):
-        out.append(v)
-    return out
+def _aligned_coefficients(f: SeqFamily, rec: Recurrence, N: int) -> list[int]:
+    """Series coefficients a_0..a_N with a_n = family value at n - shift.
+
+    Stepped in a list of its own: the family memo is never evicted.
+    """
+    # the seed sits at the family length, at least max lag zeros in, for every family
+    out = [0] * _family_length(f) + [1]
+    rec.extend(out, N + 1)
+    return out[:N + 1]
 
 
 @dataclass(frozen=True)

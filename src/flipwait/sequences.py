@@ -12,20 +12,20 @@ Families and their CLI labels:
   fib-tilde:k,m  seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + 2a(n-k-2) - a(n-k-m-2)
   alt:s        counts for the alternating pattern of length s; seed at n = s
 
-`recurrence_strings` renders the values of any such recurrence, family or
-first-occurrence count vector, in time linear in their digits: past
-_DECIMAL_BITS it reruns the recurrence in exact decimal arithmetic instead
-of converting each int to a string.
+`_recurrence` gives each family's recurrence as a `recurrence.Recurrence`,
+the core that also steps the first-occurrence counts: it extends the
+per-family memo and renders the values in time linear in their digits
+(`value_strings`).
 """
 
 from __future__ import annotations
 
-import decimal
-import sys
 import threading
-from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
+
+from flipwait.recurrence import Recurrence
 
 _PARAM_NAMES = {"fib": ("k",), "fib-bar": ("k",), "fib2": ("k", "m"), "fib-tilde": ("k", "m"), "alt": ("s",)}
 _KINDS = tuple(_PARAM_NAMES)
@@ -109,8 +109,8 @@ def base_index(f: SeqFamily) -> int:
     return f.params[0]
 
 
-def _recurrence(f: SeqFamily) -> tuple[dict[int, int], int]:
-    """Lag -> coefficient map plus the additive constant, merged on collisions."""
+def _recurrence(f: SeqFamily) -> Recurrence:
+    """The defining recurrence; taps at the same lag are merged."""
     coeffs: dict[int, int] = {}
 
     def add(lag: int, coeff: int):
@@ -150,164 +150,52 @@ def _recurrence(f: SeqFamily) -> tuple[dict[int, int], int]:
                 add(2 * i - 1, 2)
                 add(2 * i, -1)
             add(2 * half - 1, 1)
-    return coeffs, const
-
-
-def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Split (lag, coeff) recurrence taps by coefficient: +1, -1 and the rest.
-
-    Returns the offsets -lag of the +1 taps, those of the -1 taps, and
-    (-lag, coeff) for every other tap, so that a step adds the first class,
-    subtracts the second and multiplies only the third.  An offset reads
-    history[n - lag] as history[n + offset], or as window[offset] in a window
-    that ends just before n.  The taps are only regrouped: every step still
-    sums all of them.  Callers test a bool per class before looping over it:
-    an empty class costs one test, not an empty loop.
-    """
-    plus = tuple(-lag for lag, coeff in taps if coeff == 1)
-    minus = tuple(-lag for lag, coeff in taps if coeff == -1)
-    scaled = tuple((-lag, coeff) for lag, coeff in taps if coeff not in (1, -1))
-    return plus, minus, scaled
-
-
-def _iterate(coeffs: dict[int, int], const: int) -> Iterator[int]:
-    """Yield seed 1 then successive recurrence values; history below the seed is zero."""
-    max_lag = max(coeffs)
-    plus, minus, scaled = tap_classes(coeffs.items())
-    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
-    window = [0] * max_lag
-    window[-1] = 1
-    yield 1
-    while True:
-        nxt = const
-        if has_plus:
-            for i in plus:
-                nxt += window[i]
-        if has_minus:
-            for i in minus:
-                nxt -= window[i]
-        if has_scaled:
-            for i, coeff in scaled:
-                nxt += coeff * window[i]
-        yield nxt
-        window.append(nxt)
-        del window[0]
+    return Recurrence(tuple(coeffs.items()), const)
 
 
 def iter_values(f: SeqFamily) -> Iterator[tuple[int, int]]:
-    """Yield (n, value) from the seed index upward, without retaining history."""
-    coeffs, const = _recurrence(f)
-    n = base_index(f)
-    for v in _iterate(coeffs, const):
-        yield n, v
-        n += 1
+    """(n, value) from the seed index upward, extending the family's memo."""
+    return ((n, value(f, n)) for n in count(base_index(f)))
 
 
-# Per family: the values from the seed upward and the generator that
-# produced them, so extending the memo resumes where it stopped.
-_cache: dict[SeqFamily, tuple[list[int], Iterator[tuple[int, int]]]] = {}
+# Per family: its recurrence, its history (max lag zeros, the seed, then the
+# values after it) and the index of the history's first entry.  Extending the
+# memo resumes where it stopped.
+_cache: dict[SeqFamily, tuple[Recurrence, list[int], int]] = {}
 _cache_lock = threading.Lock()
 
 
-def _memo(f: SeqFamily, want: int) -> list[int]:
-    """The family's shared memo, grown to at least `want` entries; do not mutate it."""
+def _history(f: SeqFamily, n: int) -> tuple[list[int], int]:
+    """The family's shared history through index n and the index of its first entry; do not mutate it."""
     with _cache_lock:
         entry = _cache.get(f)
         if entry is None:
-            entry = _cache[f] = ([], iter_values(f))
-        cached, gen = entry
-        while len(cached) < want:
-            cached.append(next(gen)[1])
-        return cached
+            rec = _recurrence(f)
+            entry = _cache[f] = (rec, [0] * rec.max_lag + [1], base_index(f) - rec.max_lag)
+        rec, history, origin = entry
+        rec.extend(history, n - origin + 1)
+        return history, origin
 
 
 def values(f: SeqFamily, upto: int) -> list[int]:
     """Values for n = base_index(f) .. upto, memoized per family."""
-    want = upto - base_index(f) + 1
-    return _memo(f, want)[:max(want, 0)]
+    base = base_index(f)
+    if upto < base:
+        return []
+    history, origin = _history(f, upto)
+    return history[base - origin:upto - origin + 1]
 
 
 def value(f: SeqFamily, n: int) -> int:
     """Single exact value; n may be arbitrarily negative (zero below the seed)."""
-    base = base_index(f)
-    if n < base:
+    if n < base_index(f):
         return 0
-    return _memo(f, n - base + 1)[n - base]
-
-
-# CPython's int -> str is quadratic in the digit count, a decimal recurrence
-# step plus str(Decimal) is linear.  On a 2-vCPU shared Xeon host (CPython
-# 3.11.7, best of several timeit runs) str(int) takes 1.06 us at 768 bits,
-# 1.80 us at 1024 and 28.9 us at 4096.  A 2-tap decimal step plus str takes 1.11,
-# 2.01 and 4.09 us as an fma and a subtract (a coin word's c and -1 taps),
-# 0.99, 1.76 and 3.57 us as two adds, and 1.21, 2.26 and 4.75 us as the two
-# fma calls of an ungrouped step.  The two routes still break even between
-# 768 and 1024 bits; values of up to 1024 bits keep str(int), so short
-# vectors such as coin words at N = 400 never leave it.
-_DECIMAL_BITS = 1024
-# Integer arithmetic at MAX_PREC never rounds; if it ever did, the Inexact and
-# Rounded traps raise instead of printing wrong digits.  The rerun calls this
-# context's methods and never installs it, so the caller's context is untouched.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact, decimal.Rounded],
-)
-
-
-def recurrence_strings(stored, taps, const: int, start: int) -> Iterator[str]:
-    """Yield str(v) for every v in `stored`, in order.
-
-    stored[n] = const + sum(coeff * stored[n - lag] for lag, coeff in taps)
-    must hold for every n >= start, and start must be at least every lag.
-    Values of up to _DECIMAL_BITS bits go through str(int).  From the first
-    index n0 >= start past that size, the recurrence reruns in exact decimal
-    arithmetic from stored[n0 - max lag : n0].  The stored ints stay the
-    source of truth: a string longer than sys.get_int_max_str_digits() allows
-    is replaced by str() of the stored int, which raises CPython's own error,
-    and the last rerun value must equal the last stored value.
-    """
-    total = len(stored)
-    n = 0
-    while n < total and (n < start or stored[n].bit_length() <= _DECIMAL_BITS):
-        yield str(stored[n])
-        n += 1
-    if n == total:
-        return
-    # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    max_lag = max((lag for lag, _ in taps), default=0)
-    # converting an int to Decimal is exact in any context
-    window = deque((decimal.Decimal(v) for v in stored[n - max_lag:n]), max_lag)
-    plus, minus, scaled = tap_classes(taps)
-    has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
-    scaled = [(i, decimal.Decimal(coeff)) for i, coeff in scaled]
-    dconst = decimal.Decimal(const)
-    add, subtract, fma = _EXACT.add, _EXACT.subtract, _EXACT.fma
-    for n in range(n, total):
-        v = dconst
-        if has_plus:
-            for i in plus:
-                v = add(v, window[i])
-        if has_minus:
-            for i in minus:
-                v = subtract(v, window[i])
-        if has_scaled:
-            for i, coeff in scaled:
-                v = fma(coeff, window[i], v)
-        window.append(v)
-        text = str(v)
-        if limit and len(text) > limit:
-            text = str(stored[n])  # over the limit: CPython raises
-        yield text
-    if v != stored[-1]:
-        raise ArithmeticError(f"decimal rerun disagrees with the stored value at n = {total - 1}")
+    history, origin = _history(f, n)
+    return history[n - origin]
 
 
 def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
-    """str(value(f, n)) for n = 0..upto, through recurrence_strings.
+    """str(value(f, n)) for n = 0..upto, through Recurrence.strings.
 
     The recurrence holds from base_index(f) + 1 on, with zeros below the
     seed; the switch waits a further max lag so every tap reads a stored
@@ -315,14 +203,10 @@ def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
     """
     if upto < 0:
         raise ValueError(f"N must be nonnegative, got {upto}")
-    coeffs, const = _recurrence(f)
-    base = base_index(f)
-    stored = values(f, upto)  # starts at the seed: pad the zeros below it, or drop a seed at n = -1
-    if base > 0:
-        stored = [0] * min(base, upto + 1) + stored
-    elif base < 0:
-        del stored[0]
-    return recurrence_strings(stored, list(coeffs.items()), const, base + max(coeffs) + 1)
+    rec = _recurrence(f)
+    history, origin = _history(f, upto)
+    # every family's max lag is at least its seed index, so origin <= 0
+    return rec.strings(history[-origin:upto - origin + 1], base_index(f) + rec.max_lag + 1)
 
 
 def alt_recurrence_values(f: SeqFamily, n: int) -> tuple[int, int]:
@@ -344,13 +228,11 @@ def fib_bar_variants(k: int, n: int) -> tuple[int, int]:
     base = k - 1
     if n < base:
         return (0, 0)
-    two_term = 0
-    gen = _iterate({1: 2, k + 1: -1}, 0)
-    for _ in range(n - base + 1):
-        two_term = next(gen)
+    history = [0] * k + [1]
+    Recurrence(((1, 2), (k + 1, -1))).extend(history, n - base + k + 1)
     # fib:k is zero below its seed, so summing its stored values sums from index 0
     partial = sum(values(fib_order(k), n))
-    return two_term, partial
+    return history[-1], partial
 
 
 def series_shift(f: SeqFamily) -> int:

@@ -16,7 +16,7 @@ from flipwait.counting import (
     verify_count_families,
 )
 from flipwait.pattern import Pattern, as_symbols, enumerate_patterns, parse, runs
-from flipwait.sequences import _DECIMAL_BITS, tap_classes
+from flipwait.recurrence import _DECIMAL_BITS, tap_classes
 
 H, T = 0, 1
 

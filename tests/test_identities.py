@@ -226,8 +226,7 @@ def test_jump_matches_horner_on_die_words():
 
 def _degree(family) -> int:
     """deg Q of the family's recurrence, times (1 - z) when it adds a constant."""
-    coeffs, const = _recurrence(family)
-    return max(coeffs) + (1 if const else 0)
+    return len(_recurrence(family).denominator()) - 1
 
 
 def _horner_family(family, Ns) -> dict:
@@ -284,6 +283,20 @@ def test_series_makes_one_count_call_on_each_side_of_the_crossover(monkeypatch):
         calls.clear()
         tail_bound(p, N)
         assert calls == [asked], N
+
+
+def test_family_sums_leave_the_family_memo_alone(monkeypatch):
+    # the memo is never evicted, so a sum that filled it would keep every
+    # coefficient it stepped for the life of the process
+    from flipwait import sequences
+
+    monkeypatch.setattr(sequences, "_cache", {})
+    for which, params in (("id3", (5, 5)), ("id1bar", (3,)), ("alt", (12,))):
+        family, _ = corollary_family(which, params)
+        for N in (50, _cut(_degree(family)) + 1):
+            verify_corollary(which, params, N)
+            tail_bound(family, N)
+    assert sequences._cache == {}
 
 
 # Large N, against closed forms that share nothing with either route.

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module, and none is a wrapper."""
+"""Every name a package module imports is used in that module, none is a wrapper, and every
+function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -76,3 +79,20 @@ def test_no_module_level_callable_has_wrapped():
         f"{wrapped} carry __wrapped__ (a functools.cache, lru_cache or wraps decorator?): "
         "perfbench's test_end_to_end_runs_have_tracing_off would read them as tracer wrappers "
         "left switched on; hold cached state in a plain module global instead")
+
+
+def test_benchmark_tracer_finds_every_traced_function(monkeypatch):
+    # perfbench/tracing.py looks each LAYERS name up as flipwait.<module>.<function>
+    # when it installs, so renaming or removing one breaks `run.py --trace 1`
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name in tracing.LAYERS:
+        module_name, fn_name = name.split(".")
+        fn = getattr(importlib.import_module(f"flipwait.{module_name}"), fn_name, None)
+        if not inspect.isfunction(fn):
+            missing.append(name)
+    assert tracing.LAYERS and not missing, f"perfbench traces {missing}, which flipwait no longer defines"

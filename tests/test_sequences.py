@@ -1,8 +1,8 @@
 import pytest
 
 from flipwait.identities import corollary_family
+from flipwait.recurrence import _DECIMAL_BITS, Recurrence
 from flipwait.sequences import (
-    _DECIMAL_BITS,
     SeqFamily,
     alt_g,
     base_index,
@@ -15,7 +15,6 @@ from flipwait.sequences import (
     gf_polynomials,
     iter_values,
     parse_family,
-    recurrence_strings,
     series_shift,
     value,
     value_strings,
@@ -143,9 +142,19 @@ def test_gf_known_prefixes():
     assert gf_coefficients(alt_g(3), 7) == [0, 0, 0, 1, 2, 3, 5, 9]
 
 
-def test_iter_values_streams_from_seed():
+def test_iter_values_streams_from_seed(monkeypatch):
+    from flipwait import sequences
+
     gen = iter_values(fib_order(2))
     assert [next(gen) for _ in range(5)] == [(1, 1), (2, 1), (3, 2), (4, 3), (5, 5)]
+    # past what the memo held when the stream started: a seed at n = -1 and one above 0
+    monkeypatch.setattr(sequences, "_cache", {})
+    for f in (fib_two_param(0, 0), alt_g(7)):
+        base, shift = base_index(f), series_shift(f)
+        value(f, base + 3)
+        gen = iter_values(f)
+        want = gf_coefficients(f, base + shift + 199)[base + shift:]
+        assert [next(gen) for _ in range(200)] == list(enumerate(want, base)), f
 
 
 def test_parse_family_round_trip():
@@ -203,29 +212,29 @@ def test_values_concurrent_fill():
     assert all(r == results[0] for r in results)
 
 
-def test_ascending_values_resume_one_generator(monkeypatch):
-    from itertools import islice
-
+def test_ascending_values_step_each_value_once(monkeypatch):
     from flipwait import sequences
 
-    calls = []
-    real = sequences.iter_values
+    appended = []
+    real = Recurrence.extend
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
+    def counted(self, values, stop):
+        before = len(values)
+        real(self, values, stop)
+        appended.append(len(values) - before)
 
     monkeypatch.setattr(sequences, "_cache", {})
-    monkeypatch.setattr(sequences, "iter_values", counted)
+    monkeypatch.setattr(Recurrence, "extend", counted)
     f = alt_g(12)
     got = [value(f, n) for n in range(401)]
-    assert len(calls) == 1
-    assert got == [0] * base_index(f) + [v for _, v in islice(real(f), 401 - base_index(f))]
+    # the seed is stored, every later value is stepped exactly once
+    assert sum(appended) == 400 - base_index(f)
+    assert got == gf_coefficients(f, 400)
     # the list values() returns is the caller's own copy
     vals = values(f, 400)
     vals[-1] = -1
     assert value(f, 400) == got[400]
-    assert len(calls) == 1
+    assert sum(appended) == 400 - base_index(f)
 
 
 def test_ascending_values_threads_share_one_generator(monkeypatch):
@@ -311,27 +320,29 @@ def test_value_strings_rejects_negative_upto():
 def test_recurrence_strings_checks_the_last_stored_value(int_digits):
     int_digits(0)
     stored = [value(fib_order(2), n) for n in range(2000)]
-    assert list(recurrence_strings(stored, [(1, 1), (2, 1)], 0, 2)) == [str(v) for v in stored]
+    fib = Recurrence(((1, 1), (2, 1)))
+    assert list(fib.strings(stored, 2)) == [str(v) for v in stored]
     stored[-1] += 1
-    texts = recurrence_strings(stored, [(1, 1), (2, 1)], 0, 2)
+    texts = fib.strings(stored, 2)
     with pytest.raises(ArithmeticError, match="n = 1999"):
         list(texts)
 
 
 def test_recurrence_strings_every_tap_class(int_digits, drain):
     # two +1 taps, two -1 taps, a 3 and a -2 and a constant, run as plain ints
-    taps = [(1, 3), (2, 1), (3, -1), (4, 1), (5, -2), (6, -1)]
+    taps = ((1, 3), (2, 1), (3, -1), (4, 1), (5, -2), (6, -1))
     const = 5
+    rec = Recurrence(taps, const)
     stored = [2, -1, 0, 7, 3, 1]
     for n in range(6, 1500):
         stored.append(const + sum(coeff * stored[n - lag] for lag, coeff in taps))
     assert stored[-1].bit_length() > 2 * _DECIMAL_BITS
     int_digits(0)
-    assert list(recurrence_strings(stored, taps, const, 6)) == [str(v) for v in stored]
+    assert list(rec.strings(stored, 6)) == [str(v) for v in stored]
     # at 640 digits the same strings come out, then CPython's own error
     int_digits(640)
     first_over = min(n for n, v in enumerate(stored) if abs(v) >= 10**640)
     assert stored[first_over - 1].bit_length() > _DECIMAL_BITS
-    got = drain(recurrence_strings(stored, taps, const, 6))
+    got = drain(rec.strings(stored, 6))
     assert got == drain(str(v) for v in stored)
     assert len(got[0]) == first_over and got[1] is not None
