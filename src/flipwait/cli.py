@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from flipwait.pattern import (
 )
 
 SCHEMA = 1
-THREADS_ENV = "FLIPWAIT_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,14 +226,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV) or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    report = conjectures.scan(args.max_len, threads=threads)
+    report = conjectures.scan(args.max_len)
     if args.out:
         conjectures.write_json(report, args.out)
     if args.csv:
@@ -309,10 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flipwait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, pattern_arg=True):
-        if pattern_arg:
-            sp.add_argument("pattern", help="H/T word for coins, comma-separated face indices for dice")
-            sp.add_argument("--alphabet", type=int, default=2, metavar="C", help="alphabet size (default 2)")
+    def add_common(sp):
+        sp.add_argument("pattern", help="H/T word for coins, comma-separated face indices for dice")
+        sp.add_argument("--alphabet", type=int, default=2, metavar="C", help="alphabet size (default 2)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("expect", help="expected waiting time by one or all methods")
@@ -352,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, required=True)
     sp.add_argument("--out", metavar="FILE", help="write the full JSON report here")
     sp.add_argument("--csv", metavar="FILE", help="write per-pattern CSV here")
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"accepted for compatibility, must be >= 1 (default ${THREADS_ENV} or 1); "
-                         "neither results nor speed depend on it")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_scan)
 

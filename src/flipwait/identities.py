@@ -21,11 +21,10 @@ enter T_N; they come from x**k mod chi(x), chi the recurrence's
 characteristic polynomial, by square-and-multiply, dotted with the first
 2d - 1 masses (Fiduccia, SIAM J. Comput. 14, 1985).  That is O(d*d * log N)
 big-int products (`Recurrence.last_terms`).  Q is `Recurrence.denominator`
-of the recurrence the masses obey: for a pattern D(z) of the counting
-routine (d = s, n0 = s + 1), for a family its defining recurrence, times
-(1 - z) when the recurrence adds a constant (fib-bar).  Q(1/c) = c**-d for
-every pattern and every family here; were it 0 the Horner pass would run
-instead.
+of the homogeneous recurrence the masses obey: for a pattern D(z) of the
+counting routine (d = s, n0 = s + 1), for a family its own recurrence
+(n0 = max(s + 1, d)).  Q(1/c) = c**-d for every pattern and every family
+here; were it 0 the Horner pass would run instead.
 
 Tail bound: from any transient automaton state the next s draws finish the
 game with probability at least c**-s, so the survival mass rho_n shrinks by
@@ -105,15 +104,15 @@ def _finish(weighted: int, absorbed: int, c: int, s: int, N: int) -> tuple[Fract
     return Fraction(weighted, scale), Fraction(scale - absorbed, scale) * (N + s * c**s)
 
 
-def _jump_series(head, q: list[int], n0: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
-    """_series of masses[:N + 1] from head = masses[:n0 + d - 1] and the recurrence.
+def _jump_series(head, rec: Recurrence, n0: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
+    """_series of masses[:N + 1] from head = masses[:n0 + d - 1] and their recurrence.
 
-    q = Q's coefficients, q[0] = 1, d = len(q) - 1 <= n0 <= N + 1, and
-    sum(q[i] * masses[n - i]) = 0 for every n >= n0.  Q(1/c) != 0.
+    The masses obey `rec` for every n >= n0, with d = rec.max_lag <= n0 <= N + 1.
+    Q(1/c) != 0 for q = rec.denominator().
     """
+    q = rec.denominator()
     d = len(q) - 1
-    taps = tuple((j, -q_j) for j, q_j in enumerate(q) if j and q_j)
-    tail = Recurrence(taps).last_terms(head[n0 - d:n0 + d - 1], N - n0 + 1)
+    tail = rec.last_terms(head[n0 - d:n0 + d - 1], N - n0 + 1)
     # T_N from the last d masses, P = Q*G mod z**n0 from the first n0
     t = [sum(-q[i] * tail[d + j - i] for i in range(j + 1, d + 1)) for j in range(d)]
     p = [sum(q[i] * head[n - i] for i in range(min(n, d) + 1)) for n in range(n0)]
@@ -138,20 +137,18 @@ def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
         return _series(masses, p.alphabet_size, s, N)
     # Q = D(z) of degree s, the recurrence holds from n = s + 1, and D(1/c) = c**-s
     counts = count_first_occurrence(p, 2 * s - 1)
-    return _jump_series(counts.counts, counts.recurrence.denominator(), s + 1, p.alphabet_size, s, N)
+    return _jump_series(counts.counts, counts.recurrence, s + 1, p.alphabet_size, s, N)
 
 
 def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
     s = _family_length(f)
     rec = _recurrence(f)
-    q = rec.denominator()
-    d = len(q) - 1
-    # with a constant, Q*G before the (1 - z) factor has the coefficient `const`
-    # at every power from s + 1 on, so (1 - z)*Q*G is a polynomial of degree s + 1
-    n0 = max(s + 2 if rec.const else s + 1, d)
+    d = rec.max_lag
+    # the recurrence holds past the seed at s, and reads only stored terms from d on
+    n0 = max(s + 1, d)
     # Q(1/2) is 2**-d for every family; at a root of Q the jump cannot divide
-    if N >= _JUMP_PER_DEGREE * d and _horner(q, 2)[0]:
-        return _jump_series(_aligned_coefficients(f, rec, n0 + d - 2), q, n0, 2, s, N)
+    if N >= _JUMP_PER_DEGREE * d and _horner(rec.denominator(), 2)[0]:
+        return _jump_series(_aligned_coefficients(f, rec, n0 + d - 2), rec, n0, 2, s, N)
     return _series(_aligned_coefficients(f, rec, N), 2, s, N)
 
 

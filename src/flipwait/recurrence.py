@@ -4,9 +4,9 @@ Both objects of the package are such sequences.  A pattern's first-occurrence
 counts obey the recurrence read off its correlation set (Guibas & Odlyzko,
 JCTA 30, 1981; `counting` builds it), and each generalized Fibonacci family
 is defined by its own (`sequences`).  A `Recurrence` holds the (lag, coeff)
-taps and the additive constant of
+taps of the homogeneous recurrence
 
-    u_n = const + sum(coeff * u_(n - lag) for lag, coeff in taps)
+    u_n = sum(coeff * u_(n - lag) for lag, coeff in taps)
 
 and does what the package does with them: `extend` a list of ints,
 render the values as strings in time linear in their digits (`strings`),
@@ -17,7 +17,7 @@ jump to terms far out (`last_terms`, after Fiduccia, SIAM J. Comput. 14,
 The taps are grouped once, when the recurrence is built (`tap_classes`): a
 step adds or subtracts the terms whose coefficient is +-1 and multiplies
 only the others.  It starts from its first term as it stands instead of
-adding that term to 0, and adds the constant only when it is nonzero.
+adding that term to 0.
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int
 
 @dataclass(frozen=True)
 class Recurrence:
-    """u_n = const + sum(coeff * u_(n - lag) for lag, coeff in taps); at least one tap, lags >= 1."""
+    """u_n = sum(coeff * u_(n - lag) for lag, coeff in taps); at least one tap, lags >= 1."""
 
     taps: tuple[tuple[int, int], ...]
-    const: int = 0
     # a step's first term as (offset, coeff), then tap_classes of the other taps
     _plan: tuple = field(init=False, repr=False, compare=False)
 
@@ -103,7 +102,7 @@ class Recurrence:
             raise ValueError(f"a step reads {self.max_lag} terms back, but only {len(values)} are given")
         (first, coeff0), plus, minus, scaled = self._plan
         has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
-        unit, const = coeff0 == 1, self.const
+        unit = coeff0 == 1
         append = values.append
         for n in range(len(values), stop):
             v = values[n + first] if unit else coeff0 * values[n + first]
@@ -116,8 +115,6 @@ class Recurrence:
             if has_scaled:
                 for i, coeff in scaled:
                     v += coeff * values[n + i]
-            if const:
-                v += const
             append(v)
 
     def strings(self, stored, start: int) -> Iterator[str]:
@@ -148,7 +145,6 @@ class Recurrence:
         has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
         scaled = [(i, decimal.Decimal(coeff)) for i, coeff in scaled]
         unit, coeff0 = coeff0 == 1, decimal.Decimal(coeff0)
-        has_const, dconst = bool(self.const), decimal.Decimal(self.const)
         add, subtract, multiply, fma = _EXACT.add, _EXACT.subtract, _EXACT.multiply, _EXACT.fma
         for n in range(n, total):
             v = window[first] if unit else multiply(coeff0, window[first])
@@ -161,8 +157,6 @@ class Recurrence:
             if has_scaled:
                 for i, coeff in scaled:
                     v = fma(coeff, window[i], v)
-            if has_const:
-                v = add(v, dconst)
             window.append(v)
             text = str(v)
             if limit and len(text) > limit:
@@ -172,7 +166,7 @@ class Recurrence:
             raise ArithmeticError(f"decimal rerun disagrees with the stored value at n = {total - 1}")
 
     def denominator(self) -> list[int]:
-        """Coefficients of Q(z) = 1 - sum(coeff * z**lag), times (1 - z) when const != 0.
+        """Coefficients of Q(z) = 1 - sum(coeff * z**lag).
 
         Q times the generating function of any sequence that obeys the
         recurrence from some index on is a polynomial.
@@ -180,12 +174,10 @@ class Recurrence:
         q = [1] + [0] * self.max_lag
         for lag, coeff in self.taps:
             q[lag] -= coeff
-        if self.const:
-            q = [a - b for a, b in zip(q + [0], [0] + q)]
         return q
 
     def last_terms(self, u: list[int], k: int) -> list[int]:
-        """u_k .. u_(k+d-1) from u = u_0 .. u_(2d-2), d = max_lag, for const = 0.
+        """u_k .. u_(k+d-1) from u = u_0 .. u_(2d-2), d = max_lag.
 
         u_(k+i) = sum(r_j * u_(j+i)), where r is x**k mod
         chi(x) = x**d - sum(coeff * x**(d-lag)), computed by square-and-multiply;

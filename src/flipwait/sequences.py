@@ -1,13 +1,15 @@
 """Five generalized Fibonacci families behind the first-occurrence counts.
 
-Each family is a linear recurrence with a single unit seed at its base
-index and zeros below.  Two evaluation routes exist on purpose: `value`
-unrolls the defining recurrence, while `gf_coefficients` divides out the
+Each family is a homogeneous linear recurrence with a single unit seed at
+its base index and zeros below.  Two evaluation routes exist on purpose:
+`value` unrolls the recurrence, while `gf_coefficients` divides out the
 family's rational generating function; tests compare them term by term.
 
 Families and their CLI labels:
   fib:k        order-k Fibonacci; seed at n = k-1, then sum of the last k terms
-  fib-bar:k    same k-term sum plus 1 each step (equivalently partial sums of fib:k)
+  fib-bar:k    same k-term sum plus 1 each step (equivalently partial sums of fib:k);
+               stepped as 2a(n-1) - a(n-k-1), the form its generating function
+               z**(k+1) / (1 - 2z + z**(k+1)) gives
   fib2:k,m     seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + a(n-k-2) + ... + a(n-k-m-1)
   fib-tilde:k,m  seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + 2a(n-k-2) - a(n-k-m-2)
   alt:s        counts for the alternating pattern of length s; seed at n = s
@@ -110,22 +112,24 @@ def base_index(f: SeqFamily) -> int:
 
 
 def _recurrence(f: SeqFamily) -> Recurrence:
-    """The defining recurrence; taps at the same lag are merged."""
+    """The family's homogeneous recurrence; taps at the same lag are merged.
+
+    fib-bar's definition adds 1 to a k-term sum; its two-term form holds
+    from the step after the seed on, as the zeros below the seed make it.
+    """
     coeffs: dict[int, int] = {}
 
     def add(lag: int, coeff: int):
         coeffs[lag] = coeffs.get(lag, 0) + coeff
 
-    const = 0
     if f.kind == "fib":
         (k,) = f.params
         for i in range(1, k + 1):
             add(i, 1)
     elif f.kind == "fib-bar":
         (k,) = f.params
-        for i in range(1, k + 1):
-            add(i, 1)
-        const = 1
+        add(1, 2)
+        add(k + 1, -1)
     elif f.kind == "fib2":
         k, m = f.params
         add(1, 2)
@@ -150,7 +154,7 @@ def _recurrence(f: SeqFamily) -> Recurrence:
                 add(2 * i - 1, 2)
                 add(2 * i, -1)
             add(2 * half - 1, 1)
-    return Recurrence(tuple(coeffs.items()), const)
+    return Recurrence(tuple(coeffs.items()))
 
 
 def iter_values(f: SeqFamily) -> Iterator[tuple[int, int]]:
@@ -209,27 +213,22 @@ def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
     return rec.strings(history[-origin:upto - origin + 1], base_index(f) + rec.max_lag + 1)
 
 
-def alt_recurrence_values(f: SeqFamily, n: int) -> tuple[int, int]:
-    """fib_bar_variants for a family object; other kinds have no alternate forms."""
-    if f.kind != "fib-bar":
-        raise ValueError(f"alternate recurrences exist only for fib-bar, not {f.kind}")
-    return fib_bar_variants(f.params[0], n)
-
-
 def fib_bar_variants(k: int, n: int) -> tuple[int, int]:
-    """The fib-bar value by its two equivalent alternative recurrences.
+    """The fib-bar value by its definition and by the partial sums of fib:k.
 
-    Returns (two_term, partial_sum): the first runs a(n) = 2a(n-1) - a(n-k-1)
-    from the same seed, the second sums fib:k values from index 0 through n.
-    Both must agree with value(fib_bar(k), n).
+    Returns (definition, partial_sum): the first runs a(n) = a(n-1) + ... +
+    a(n-k) + 1 from the seed at k-1, the second sums fib:k values from
+    index 0 through n.  Both must agree with value(fib_bar(k), n), which
+    steps the two-term form.
     """
     if k < 1:
         raise ValueError(f"fib-bar needs k >= 1, got {k}")
     base = k - 1
     if n < base:
         return (0, 0)
-    history = [0] * k + [1]
-    Recurrence(((1, 2), (k + 1, -1))).extend(history, n - base + k + 1)
+    history = [0] * (k - 1) + [1]
+    for _ in range(n - base):
+        history.append(sum(history[-k:]) + 1)
     # fib:k is zero below its seed, so summing its stored values sums from index 0
     partial = sum(values(fib_order(k), n))
     return history[-1], partial
@@ -247,9 +246,11 @@ def series_shift(f: SeqFamily) -> int:
 def gf_polynomials(f: SeqFamily) -> tuple[list[int], list[int]]:
     """Numerator and denominator coefficient lists of the rational generating function.
 
-    The series is sum over n of (value at n - shift) * x**n.  For fib-bar and
-    alt these use the condensed denominators rather than the defining
-    recurrence, which keeps this route independent of `value`.
+    The series is sum over n of (value at n - shift) * x**n.  For alt this
+    uses the condensed denominator rather than the defining recurrence,
+    which keeps this route independent of `value`; fib-bar's is the
+    two-term form `value` steps, and `fib_bar_variants` checks it against
+    the definition.
     """
 
     def poly(d: dict[int, int]) -> list[int]:

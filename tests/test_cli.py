@@ -206,11 +206,11 @@ def test_scan_writes_reports(capsys, tmp_path):
     assert out_csv.read_text().count("\n") == 15
 
 
-def test_scan_threads_flag_matches_single(capsys):
-    code1, p1, _ = run_json(capsys, "scan", "--max-len", "5", "--json")
-    code2, p2, _ = run_json(capsys, "scan", "--max-len", "5", "--threads", "3", "--json")
-    assert code1 == code2 == 0
-    assert p1 == p2
+def test_scan_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max-len", "2", "--threads", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_inspect(capsys):
@@ -248,24 +248,6 @@ def test_human_output_shows_approximations(capsys):
     code, out, _ = run_cli(capsys, "sum", "id1", "--k", "2", "--N", "64")
     assert code == 0
     assert "partial" in out and "target" in out and "~" in out
-
-
-def test_scan_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FLIPWAIT_THREADS", "2")
-    code, payload, _ = run_json(capsys, "scan", "--max-len", "4", "--json")
-    assert code == 0
-    assert payload["violations"] == []
-
-
-def test_scan_threads_env_var_empty_or_malformed(capsys, monkeypatch):
-    _, want, _ = run_json(capsys, "scan", "--max-len", "2", "--json")
-    monkeypatch.setenv("FLIPWAIT_THREADS", "")
-    code, payload, _ = run_json(capsys, "scan", "--max-len", "2", "--json")
-    assert code == 0 and payload == want
-    monkeypatch.setenv("FLIPWAIT_THREADS", "abc")
-    code, out, err = run_cli(capsys, "scan", "--max-len", "2")
-    assert code == 1 and out == ""
-    assert "FLIPWAIT_THREADS" in err and "'abc'" in err
 
 
 # sha256 of stdout of `scan --max-len 10 --json --csv F` followed by the bytes of F

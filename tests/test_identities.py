@@ -225,7 +225,7 @@ def test_jump_matches_horner_on_die_words():
 
 
 def _degree(family) -> int:
-    """deg Q of the family's recurrence, times (1 - z) when it adds a constant."""
+    """deg Q of the family's recurrence: its max lag."""
     return len(_recurrence(family).denominator()) - 1
 
 

@@ -5,20 +5,41 @@ import pytest
 from flipwait.recurrence import _DECIMAL_BITS, Recurrence, tap_classes
 
 
+def _times_one_minus_z(taps):
+    """The taps of (1 - z) * Q(z): the homogeneous form of a step that also adds a constant."""
+    coeffs = {1: 1}
+    for lag, coeff in taps:
+        coeffs[lag] = coeffs.get(lag, 0) + coeff
+        coeffs[lag + 1] = coeffs.get(lag + 1, 0) - coeff
+    return tuple(sorted(coeffs.items()))
+
+
 def _random_recurrences(seed: int, count: int):
-    """Recurrences of every first-term kind: a +1 tap, a multiplied positive one, none positive."""
+    """Recurrences of every first-term kind: a +1 tap, a multiplied positive one, none positive.
+
+    Half of them are times (1 - z), as a constant added to every step would
+    be, which also gives lags up to 8 and zero coefficients.
+    """
     rng = random.Random(seed)
     for _ in range(count):
         lags = sorted(rng.sample(range(1, 8), rng.randint(1, 5)))
         taps = tuple((lag, rng.choice([-3, -2, -1, 0, 1, 2, 3])) for lag in lags)
-        yield Recurrence(taps, rng.choice([0, 0, 1, -2])), rng
+        if rng.random() < 0.5:
+            taps = _times_one_minus_z(taps)
+        yield Recurrence(taps), rng
 
 
 def _reference(rec: Recurrence, head: list[int], stop: int) -> list[int]:
     out = list(head)
     for n in range(len(out), stop):
-        out.append(rec.const + sum(coeff * out[n - lag] for lag, coeff in rec.taps))
+        out.append(sum(coeff * out[n - lag] for lag, coeff in rec.taps))
     return out
+
+
+def test_recurrences_are_homogeneous():
+    with pytest.raises(TypeError):
+        Recurrence(((1, 1),), 1)
+    assert not hasattr(Recurrence(((1, 1),)), "const")
 
 
 def test_extend_matches_the_defining_sum():
@@ -65,12 +86,16 @@ def test_strings_never_print_negative_zero(int_digits):
     assert texts == [str(v) for v in stored] and texts[4] == "0"
 
 
-@pytest.mark.parametrize("const", [0, 1, 3])
-def test_denominator_annihilates_the_series(const):
-    rec = Recurrence(((1, 2), (3, -1), (4, 1)), const)
+@pytest.mark.parametrize("power", [0, 1, 3])
+def test_denominator_annihilates_the_series(power):
+    # the taps times (1 - z)**power: power 1 is the same step plus a constant
+    taps = ((1, 2), (3, -1), (4, 1))
+    for _ in range(power):
+        taps = _times_one_minus_z(taps)
+    rec = Recurrence(taps)
     q = rec.denominator()
-    assert len(q) == 5 + (1 if const else 0) and q[0] == 1
-    u = [1, 0, 4, 2]
+    assert len(q) == 5 + power and q[0] == 1
+    u = [1, 0, 4, 2, -3, 5, 0][:rec.max_lag]
     rec.extend(u, 80)
     # the coefficients of Q * sum(u_n z**n) vanish once every tap reads a term
     product = [sum(q[i] * u[n - i] for i in range(min(n, len(q) - 1) + 1)) for n in range(80)]

@@ -4,6 +4,7 @@ from flipwait.identities import corollary_family
 from flipwait.recurrence import _DECIMAL_BITS, Recurrence
 from flipwait.sequences import (
     SeqFamily,
+    _recurrence,
     alt_g,
     base_index,
     fib_bar,
@@ -56,8 +57,8 @@ def test_fib_bar_three_definitions_agree():
     for k in range(1, 9):
         for n in range(-2, 201):
             expected = value(fib_bar(k), n)
-            two_term, partial = fib_bar_variants(k, n)
-            assert two_term == expected
+            definition, partial = fib_bar_variants(k, n)
+            assert definition == expected
             assert partial == expected
 
 
@@ -66,12 +67,10 @@ def test_fib_bar_variants_example():
     assert fib_bar_variants(1, 9) == (10, 10)
 
 
-def test_alt_recurrence_values_family_form():
-    from flipwait.sequences import alt_recurrence_values
-
-    assert alt_recurrence_values(fib_bar(2), 5) == (12, 12)
-    with pytest.raises(ValueError):
-        alt_recurrence_values(fib_order(2), 5)
+def test_fib_bar_steps_two_taps():
+    # 2a(n-1) - a(n-k-1), not the k-term sum plus 1, at every order
+    for k in range(1, 301):
+        assert _recurrence(fib_bar(k)).taps == ((1, 2), (k + 1, -1)), k
 
 
 def test_two_param_reductions():
@@ -329,13 +328,12 @@ def test_recurrence_strings_checks_the_last_stored_value(int_digits):
 
 
 def test_recurrence_strings_every_tap_class(int_digits, drain):
-    # two +1 taps, two -1 taps, a 3 and a -2 and a constant, run as plain ints
+    # two +1 taps, two -1 taps, a 3 and a -2, run as plain ints
     taps = ((1, 3), (2, 1), (3, -1), (4, 1), (5, -2), (6, -1))
-    const = 5
-    rec = Recurrence(taps, const)
+    rec = Recurrence(taps)
     stored = [2, -1, 0, 7, 3, 1]
     for n in range(6, 1500):
-        stored.append(const + sum(coeff * stored[n - lag] for lag, coeff in taps))
+        stored.append(sum(coeff * stored[n - lag] for lag, coeff in taps))
     assert stored[-1].bit_length() > 2 * _DECIMAL_BITS
     int_digits(0)
     assert list(rec.strings(stored, 6)) == [str(v) for v in stored]

@@ -227,6 +227,23 @@ def test_simulate_wait_passes_the_derived_cap(monkeypatch):
     assert caps == [64 * (2**23 - 2)] and report.min_flips == 22
 
 
+def test_report_across_the_old_batch_boundary_is_pinned(monkeypatch):
+    # computed when simulate_wait still split the trials into calls of 2**16;
+    # one kernel call over all 65541 trials gives the same report, bit for bit
+    calls = []
+    play = _simpy.play
+
+    def counted(p, trials, seed, first_trial, cap):
+        calls.append((trials, first_trial))
+        return play(p, trials, seed, first_trial, cap)
+
+    monkeypatch.setattr(_simpy, "play", counted)
+    assert simulate_wait(parse("HT"), 65541, 7) == SimReport(
+        pattern="HT", trials=65541, seed=7, mean=4.006896446499138, std_error=0.007864072639096024,
+        min_flips=2, max_flips=26, total_flips=262616)
+    assert calls == [(65541, 0)]
+
+
 def test_simulate_wait_builds_no_table(monkeypatch):
     expected = simulate_wait(parse("HTH"), 3000, 5)
 
