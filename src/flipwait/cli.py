@@ -231,6 +231,7 @@ def _cmd_scan(args) -> int:
         conjectures.write_json(report, args.out)
     if args.csv:
         conjectures.write_csv(report, args.csv)
+    hist = report.exponent_histogram()
     summary = {
         "schema": SCHEMA,
         "command": "scan",
@@ -239,7 +240,7 @@ def _cmd_scan(args) -> int:
         "scanned": report.scanned,
         "spot_checks": report.spot_checks,
         "violations": report.violations,
-        "exponent_set_sizes": {str(k): v for k, v in report.exponent_histogram().items()},
+        "exponent_set_sizes": {str(k): v for k, v in hist.items()},
     }
     if args.json:
         _emit(summary)
@@ -247,7 +248,7 @@ def _cmd_scan(args) -> int:
         print(f"scanned {report.scanned} patterns up to length {report.max_len}")
         print(f"  note: {report.interpretation}")
         print(f"  spot checks against chain solve: {report.spot_checks}")
-        print(f"  excess exponent-set sizes: {report.exponent_histogram()}")
+        print(f"  excess exponent-set sizes: {hist}")
         if report.violations:
             print(f"  VIOLATIONS ({len(report.violations)}):")
             for v in report.violations:

@@ -11,16 +11,19 @@ The scan computes E with the integer autocorrelation formula from a bit
 mask of each word's borders, grown from its parent's mask (Guibas &
 Odlyzko, "Periods in strings", JCTA 30, 1981; see `scan`), and
 cross-checks a deterministic 1 percent sample (always including the first
-pattern of each length) against the exact chain solve.
+pattern of each length) against the exact chain solve.  A report keeps two
+integer columns per length, each word's E and the index of its reversal;
+the per-pattern `PatternRecord`s are built from them only when read.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import is_, not_
+from itertools import repeat
 from typing import NamedTuple
 
 from flipwait.exact import expected_wait_conway, expected_wait_markov
@@ -32,6 +35,13 @@ INTERPRETATION = (
 )
 
 SPOT_CHECK_STRIDE = 100
+
+# scan(L) peaks at about 150 bytes per word of length L, mostly the last two
+# lengths' lists of int objects (ru_maxrss 164 / 310 / 613 MB at L = 20 / 21 /
+# 22, 16 MB of it the interpreter; Python 3.11).  A budget of 4 GB, half of an
+# 8 GB host, holds L = 24 (2.5 GB) but not L = 25 (5 GB).  Reading `records`,
+# as --out and --csv do, costs several times more per word.
+MAX_LEN = 24
 
 
 def _power_form(expected: int, s: int) -> tuple[bool, tuple[int, ...]]:
@@ -70,86 +80,104 @@ class PatternRecord(NamedTuple):
 class ScanReport:
     max_len: int
     interpretation: str = INTERPRETATION
-    records: list[PatternRecord] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     spot_checks: int = 0
+    # per length s = 1.., (E of each word, index of its reversal), words in lexicographic order
+    columns: list[tuple[array, array]] = field(default_factory=list, repr=False)
+    histogram: dict[int, int] = field(default_factory=dict)
+    _records: list[PatternRecord] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def scanned(self) -> int:
-        return len(self.records)
+        return len(self._records) if self._records is not None else sum(len(es) for es, _ in self.columns)
 
     def exponent_histogram(self) -> dict[int, int]:
         """Distribution of excess exponent-set sizes over checked patterns."""
-        hist: dict[int, int] = {}
-        for rec in self.records:
-            if rec.excess_exponents is None:
-                continue
-            k = len(rec.excess_exponents)
-            hist[k] = hist.get(k, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(self.histogram)
+
+    @property
+    def records(self) -> list[PatternRecord]:
+        """One record per word in (length, lexicographic) order, built from the columns on first read."""
+        if self._records is None:
+            self._records, texts = [], [""]
+            for s, (es, rev) in enumerate(self.columns, 1):
+                texts = [t + ch for t in texts for ch in "HT"]
+                es = es.tolist()
+                e_revs = list(map(es.__getitem__, rev))
+                forms = {e: _power_form(e, s) for e in set(es[1:-1])}
+                power_oks, exponents = ([None, *map({e: f[k] for e, f in forms.items()}.__getitem__, es[1:-1]), None]
+                                        for k in (0, 1))
+                # tuple.__new__ makes each record in C, skipping the NamedTuple's Python-level __new__
+                self._records.extend(map(tuple.__new__, repeat(PatternRecord), zip(
+                    texts, repeat(s), es, map(texts.__getitem__, rev), e_revs, map(int.__eq__, es, e_revs),
+                    power_oks, exponents)))
+        return self._records
 
 
 def scan(max_len: int, threads: int = 1) -> ScanReport:
     """Run both checks on every coin pattern of length 1..max_len.
 
-    Records come out in (length, lexicographic) order.  Violations are
-    collected, not raised; the scan is a measurement, and a counterexample
-    would be a discovery.  `threads` is accepted for compatibility and must
-    be at least 1, but the scan runs in the calling thread whatever its
-    value: the work is pure-Python arithmetic under the interpreter lock,
-    so worker threads would only add switching cost.
+    Violations are collected, not raised; the scan is a measurement, and a
+    counterexample would be a discovery.  `threads` is accepted for
+    compatibility and must be at least 1, but the scan runs in the calling
+    thread whatever its value: the work is pure-Python arithmetic under the
+    interpreter lock, so worker threads would only add switching cost.
+    max_len above MAX_LEN raises ValueError before any column is built.
 
     Word i of length s is word i >> 1 of length s-1 followed by symbol
-    i & 1, and each length keeps three lists: `texts`, `rev` (the index of
+    i & 1 (H = 0, T = 1).  Each length has two lists: `rev` (the index of
     each word's reversal; read as a mask, bit k is set iff the word has T
-    at position k) and `borders` (bit k set iff the word has a border of
-    length k, bit 0 and bit s included).  The borders of u.a are u itself
-    and the borders k of u with u[k] = a, each one longer, hence the
-    child's mask; E = B - 1 drops bit 0, the empty border.
+    at position k) and `es`, where E + 1 is the word's border mask (bit k
+    set iff the word has a border of length k, bit 0 and bit s included).
+    The borders of u.a are u itself and the borders k of u with u[k] = a,
+    each one longer, hence the child's E from its parent's.
 
-    Records are built a length at a time from the columns: the lists of E,
-    of the reversal's E and of both verdicts (the power form once per
-    distinct E, None for the constant first and last words) feed one `map`
-    into `PatternRecord`.  Only the spot-check indices and the flagged
-    words are then visited one by one, in ascending order, so violations
-    come out per word: reversal, power form, then spot check.
+    The report keeps both lists as `array('Q')` columns and builds no
+    `PatternRecord`.  The power form is checked, and counted into the
+    histogram, once per distinct E of the non-constant words; reversal is
+    one comparison of E with E read through `rev`.  Only the spot-check
+    indices and the flagged words are then visited, in ascending order,
+    and given a text, so violations come out per word: reversal, power
+    form, then spot check.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if max_len > MAX_LEN:
+        raise ValueError(f"max_len {max_len} exceeds the scan limit MAX_LEN = {MAX_LEN} (memory)")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     report = ScanReport(max_len=max_len)
-    texts, rev, borders = [""], [0], [1]
+    hist: Counter[int] = Counter()
+    es, rev = [0], [0]
     for s in range(1, max_len + 1):
         top = 1 << (s - 1)
         low = top - 1
-        texts = [t + ch for t in texts for ch in "HT"]
-        borders = [(b & (at | top)) << 1 | 1 for b, r in zip(borders, rev) for at in (~r & low, r)]
+        es = [((e | 1) & (at | top)) << 1 for e, r in zip(es, rev) for at in (~r & low, r)]
         rev = [r | a for r in rev for a in (0, top)]
-        es = [b - 1 for b in borders]
-        e_revs = [es[r] for r in rev]
-        oks = list(map(int.__eq__, es, e_revs))
-        power_forms = {e: _power_form(e, s) for e in set(es[1:-1])}
-        power_oks, exponents = zip((None, None), *map(power_forms.__getitem__, es[1:-1]), (None, None))
-        start = len(report.records)
-        report.records.extend(map(PatternRecord, texts, repeat(s), es, [texts[r] for r in rev],
-                                  e_revs, oks, power_oks, exponents))
-        visit = {*range(0, len(texts), SPOT_CHECK_STRIDE), *compress(count(), map(not_, oks)),
-                 *compress(count(), map(is_, power_oks, repeat(False)))}
+        report.columns.append((array("Q", es), array("Q", rev)))
+        e_revs = list(map(es.__getitem__, rev))
+        failing = set()
+        for e, n in Counter(es[1:-1]).items():
+            ok, exponents = _power_form(e, s)
+            hist[len(exponents)] += n
+            if not ok:
+                failing.add(e)
+        visit = set(range(0, len(es), SPOT_CHECK_STRIDE))
+        if e_revs != es or failing:
+            visit.update(i for i, (e, f) in enumerate(zip(es, e_revs)) if e != f or e in failing)
         for idx in sorted(visit):
-            rec = report.records[start + idx]
-            if not rec.reversal_ok:
-                report.violations.append(f"reversal mismatch for {rec.pattern}")
-            if rec.power_form_ok is False:
-                report.violations.append(f"power form fails for {rec.pattern}")
+            text = format(idx, f"0{s}b").replace("0", "H").replace("1", "T")
+            if es[idx] != e_revs[idx]:
+                report.violations.append(f"reversal mismatch for {text}")
+            if es[idx] in failing:
+                report.violations.append(f"power form fails for {text}")
             if idx % SPOT_CHECK_STRIDE == 0:
                 report.spot_checks += 1
-                exact = expected_wait_markov(parse(rec.pattern))
-                if exact.denominator != 1 or exact != rec.expected:
+                exact = expected_wait_markov(parse(text))
+                if exact.denominator != 1 or exact != es[idx]:
                     report.violations.append(
-                        f"spot check mismatch for {rec.pattern}: chain solve {exact}, "
-                        f"autocorrelation {rec.expected}"
-                    )
+                        f"spot check mismatch for {text}: chain solve {exact}, autocorrelation {es[idx]}")
+    report.histogram = dict(sorted(hist.items()))
     return report
 
 

@@ -261,6 +261,52 @@ def test_scan_output_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode() + csv_path.read_bytes()).hexdigest() == SCAN_10_JSON_CSV_SHA256
 
 
+# sha256 of the files `scan --max-len 12 --out F.json --csv F.csv` writes, computed
+# when every record was built inside the scan
+SCAN_12_OUT_SHA256 = "8fd2d4ae42c3c3e197a2a923f630bed475813cc83b5b707af1b6355c51f491c8"
+SCAN_12_CSV_SHA256 = "cee28a3fdbc9bcbf9d774c09fd45c5d866b4e1cbba9c73b00e892f6db84a13c2"
+
+
+def test_scan_report_files_pinned(capsys, tmp_path):
+    out_path, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "scan", "--max-len", "12", "--out", str(out_path), "--csv", str(csv_path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SCAN_12_OUT_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SCAN_12_CSV_SHA256
+
+
+SCAN_10_TEXT = (
+    "scanned 2046 patterns up to length 10\n"
+    "  note: power form holds iff E - 2**len is a sum of distinct powers 2**e with 1 <= e <= len-1; "
+    "constant patterns are excluded\n"
+    "  spot checks against chain solve: 28\n"
+    "  excess exponent-set sizes: {0: 590, 1: 1030, 2: 324, 3: 70, 4: 12}\n"
+    "  violations: none\n"
+)
+
+
+def test_scan_summary_builds_no_record(capsys, monkeypatch):
+    from flipwait import conjectures
+
+    def no_record(*args):
+        raise AssertionError("the scan summary built a PatternRecord")
+
+    monkeypatch.setattr(conjectures, "PatternRecord", no_record)
+    code, payload, err = run_json(capsys, "scan", "--max-len", "10", "--json")
+    assert code == 0 and err == ""
+    assert (payload["scanned"], payload["spot_checks"], payload["violations"]) == (2046, 28, [])
+    assert payload["exponent_set_sizes"] == {"0": 590, "1": 1030, "2": 324, "3": 70, "4": 12}
+    assert run_cli(capsys, "scan", "--max-len", "10") == (0, SCAN_10_TEXT, "")
+
+
+def test_scan_past_the_length_limit_fails_at_once(capsys):
+    from flipwait.conjectures import MAX_LEN
+
+    code, out, err = run_cli(capsys, "scan", "--max-len", str(MAX_LEN + 1))
+    assert (code, out) == (1, "")
+    assert f"exceeds the scan limit MAX_LEN = {MAX_LEN}" in err
+
+
 def test_expect_all_disagreement_exits_2(capsys, monkeypatch):
     import flipwait.cli as cli_mod
 

@@ -1,6 +1,7 @@
 import pytest
 
 from flipwait.conjectures import (
+    MAX_LEN,
     SPOT_CHECK_STRIDE,
     PatternRecord,
     ScanReport,
@@ -119,6 +120,38 @@ def test_scan_records_match_component_checks():
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan(0)
+
+
+def test_scan_length_limit_is_checked_before_any_column(monkeypatch):
+    import flipwait.conjectures as conjectures_mod
+
+    class FirstColumn(Exception):
+        pass
+
+    def first_column(*args):
+        raise FirstColumn
+
+    monkeypatch.setattr(conjectures_mod, "array", first_column)
+    with pytest.raises(FirstColumn):
+        scan(MAX_LEN)
+    with pytest.raises(ValueError, match=f"exceeds the scan limit MAX_LEN = {MAX_LEN}"):
+        scan(MAX_LEN + 1)
+
+
+def test_report_equality_compares_columns_and_builds_no_record(monkeypatch):
+    import flipwait.conjectures as conjectures_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(conjectures_mod, "PatternRecord", None)  # building a record would raise
+        a, b = scan(8), scan(8)
+        assert a == b and a.scanned == 2**9 - 2
+        es, rev = b.columns[4]
+        es[3] += 2
+        assert a != b
+        es[3] -= 2
+    assert len(a.records) == a.scanned and a == b  # built records take no part in equality
+    a.records.pop()
+    assert a.scanned == len(a.records) == 2**9 - 3
 
 
 def test_scan_to_length_14_clean():
