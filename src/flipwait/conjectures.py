@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,11 +37,13 @@ INTERPRETATION = (
 
 SPOT_CHECK_STRIDE = 100
 
-# scan(L) peaks at about 150 bytes per word of length L, mostly the last two
-# lengths' lists of int objects (ru_maxrss 164 / 310 / 613 MB at L = 20 / 21 /
-# 22, 16 MB of it the interpreter; Python 3.11).  A budget of 4 GB, half of an
-# 8 GB host, holds L = 24 (2.5 GB) but not L = 25 (5 GB).  Reading `records`,
-# as --out and --csv do, costs several times more per word.
+# scan(L) peaks at about 90 bytes per word of length L: the last length's E
+# list (one int object per word) and that list read through the reversal
+# index, beside the 4-byte columns of every length (ru_maxrss 40 / 106 / 380 MB
+# at L = 18 / 20 / 22, 13 MB of it the interpreter; Python 3.11).  L = 24 needs
+# about 1.5 GB and L = 25 about 3 GB; a 4-byte lane holds E < 2**(L + 1) for
+# both.  write_csv adds about 165 bytes per word of length L (one length's
+# texts and rows); reading `records`, as --out does, several times more.
 MAX_LEN = 24
 
 
@@ -99,19 +102,55 @@ class ScanReport:
     def records(self) -> list[PatternRecord]:
         """One record per word in (length, lexicographic) order, built from the columns on first read."""
         if self._records is None:
-            self._records, texts = [], [""]
-            for s, (es, rev) in enumerate(self.columns, 1):
-                texts = [t + ch for t in texts for ch in "HT"]
-                es = es.tolist()
-                e_revs = list(map(es.__getitem__, rev))
-                forms = {e: _power_form(e, s) for e in set(es[1:-1])}
-                power_oks, exponents = ([None, *map({e: f[k] for e, f in forms.items()}.__getitem__, es[1:-1]), None]
-                                        for k in (0, 1))
+            self._records = []
+            for rows in _rows(self.columns):
                 # tuple.__new__ makes each record in C, skipping the NamedTuple's Python-level __new__
-                self._records.extend(map(tuple.__new__, repeat(PatternRecord), zip(
-                    texts, repeat(s), es, map(texts.__getitem__, rev), e_revs, map(int.__eq__, es, e_revs),
-                    power_oks, exponents)))
+                self._records.extend(map(tuple.__new__, repeat(PatternRecord), rows))
         return self._records
+
+
+def _rows(columns: list[tuple[array, array]], blank=None, exponents=tuple):
+    """Per length, an iterator of each word's eight record fields, in lexicographic order.
+
+    The constant first and last words get `blank` for both power-form
+    fields; the others get the verdict and `exponents` of the exponent
+    tuple, both found once per distinct E.  Only one length's lists are
+    alive at a time.
+    """
+    texts = [""]
+    for s, (es, rev) in enumerate(columns, 1):
+        texts = [t + ch for t in texts for ch in "HT"]
+        es = es.tolist()
+        e_revs = list(map(es.__getitem__, rev))
+        inner = es[1:-1]
+        forms = {e: _power_form(e, s) for e in set(inner)}
+        oks = {e: ok for e, (ok, _) in forms.items()}
+        shown = {e: exponents(x) for e, (_, x) in forms.items()}
+        yield zip(texts, repeat(s), es, map(texts.__getitem__, rev), e_revs, map(int.__eq__, es, e_revs),
+                  [blank, *map(oks.__getitem__, inner), blank], [blank, *map(shown.__getitem__, inner), blank])
+
+
+def _grow(es: array, rev: array, s: int) -> tuple[array, array]:
+    """The E and reversal columns of length s from those of length s-1, a few whole-int steps each.
+
+    Each column is read as one int of 4-byte lanes in `sys.byteorder`; the
+    constants hold the same value in every lane, and no lane carries into the
+    next (E < 2**25 for s <= MAX_LEN).  The two children of each word are
+    written back interleaved, H child at even and T child at odd indices.
+    """
+    width = len(es) * es.itemsize
+    ones = int.from_bytes(array(es.typecode, [1]) * len(es), sys.byteorder)
+    top = ones << (s - 1)
+    e = int.from_bytes(es, sys.byteorder) | ones
+    r = int.from_bytes(rev, sys.byteorder)
+    kids_es, kids_rev = array(es.typecode, bytes(2 * width)), array(rev.typecode, bytes(2 * width))
+    es_view, rev_view = memoryview(kids_es), memoryview(kids_rev)
+    # `at` marks where the parent has the appended symbol: r read as a mask has T's
+    # positions, so H's are ~r & low = r ^ low, with low = top - ones
+    for a, (at, kid_rev) in enumerate(((r ^ (top - ones), r), (r, r | top))):
+        es_view[a::2] = memoryview(((e & (at | top)) << 1).to_bytes(width, sys.byteorder)).cast(es.typecode)
+        rev_view[a::2] = memoryview(kid_rev.to_bytes(width, sys.byteorder)).cast(rev.typecode)
+    return kids_es, kids_rev
 
 
 def scan(max_len: int, threads: int = 1) -> ScanReport:
@@ -125,20 +164,22 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
     max_len above MAX_LEN raises ValueError before any column is built.
 
     Word i of length s is word i >> 1 of length s-1 followed by symbol
-    i & 1 (H = 0, T = 1).  Each length has two lists: `rev` (the index of
-    each word's reversal; read as a mask, bit k is set iff the word has T
-    at position k) and `es`, where E + 1 is the word's border mask (bit k
-    set iff the word has a border of length k, bit 0 and bit s included).
-    The borders of u.a are u itself and the borders k of u with u[k] = a,
-    each one longer, hence the child's E from its parent's.
+    i & 1 (H = 0, T = 1).  Each length has two `array('I')` columns: `rev`
+    (the index of each word's reversal; read as a mask, bit k is set iff the
+    word has T at position k) and `es`, where E + 1 is the word's border
+    mask (bit k set iff the word has a border of length k, bit 0 and bit s
+    included).  The borders of u.a are u itself and the borders k of u with
+    u[k] = a, each one longer, hence the child's E from its parent's:
+    ((E | 1) & (at | top)) << 1, with top = 2**(s-1) and at the positions
+    of a in u, read off u's reversal index.  `_grow` computes this for all
+    words of a length at once, in lanes of one packed int.
 
-    The report keeps both lists as `array('Q')` columns and builds no
-    `PatternRecord`.  The power form is checked, and counted into the
-    histogram, once per distinct E of the non-constant words; reversal is
-    one comparison of E with E read through `rev`.  Only the spot-check
-    indices and the flagged words are then visited, in ascending order,
-    and given a text, so violations come out per word: reversal, power
-    form, then spot check.
+    The report keeps the columns and builds no `PatternRecord`.  The power
+    form is checked, and counted into the histogram, once per distinct E of
+    the non-constant words; reversal is one comparison of the E list with E
+    read through `rev`.  Only the spot-check indices and the flagged words
+    are then visited, in ascending order, and given a text, so violations
+    come out per word: reversal, power form, then spot check.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
@@ -148,14 +189,12 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
         raise ValueError(f"threads must be at least 1, got {threads}")
     report = ScanReport(max_len=max_len)
     hist: Counter[int] = Counter()
-    es, rev = [0], [0]
+    column = array("I", [0]), array("I", [0])
     for s in range(1, max_len + 1):
-        top = 1 << (s - 1)
-        low = top - 1
-        es = [((e | 1) & (at | top)) << 1 for e, r in zip(es, rev) for at in (~r & low, r)]
-        rev = [r | a for r in rev for a in (0, top)]
-        report.columns.append((array("Q", es), array("Q", rev)))
-        e_revs = list(map(es.__getitem__, rev))
+        column = _grow(*column, s)
+        report.columns.append(column)
+        es = column[0].tolist()
+        e_revs = list(map(es.__getitem__, column[1]))
         failing = set()
         for e, n in Counter(es[1:-1]).items():
             ok, exponents = _power_form(e, s)
@@ -214,16 +253,9 @@ def write_json(report: ScanReport, path: str):
 
 
 def write_csv(report: ScanReport, path: str):
+    """One row per word, streamed length by length from the columns; `report.records` is not built."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["pattern", "length", "expected", "reversal", "reversal_expected",
-             "reversal_ok", "power_form_ok", "excess_exponents"]
-        )
-        for r in report.records:
-            writer.writerow(
-                [r.pattern, r.length, r.expected, r.reversal, r.reversal_expected,
-                 r.reversal_ok,
-                 "" if r.power_form_ok is None else r.power_form_ok,
-                 "" if r.excess_exponents is None else " ".join(map(str, r.excess_exponents))]
-            )
+        writer.writerow(PatternRecord._fields)
+        for rows in _rows(report.columns, "", lambda exps: " ".join(map(str, exps))):
+            writer.writerows(rows)

@@ -21,6 +21,18 @@ from flipwait.automaton import failure_links, match
 from flipwait.pattern import Pattern, as_symbols
 
 
+def _offsets(p: Pattern) -> list[int]:
+    """The integer offsets D_q = E_0 - E_q, q = 0..s, of the chain solve; D_s = E_0."""
+    s = len(p)
+    c = p.alphabet_size
+    fail = failure_links(p)
+    d = [0] * (s + 1)
+    d[1] = c
+    for q in range(1, s):
+        d[q + 1] = c * (d[q] - d[fail[q]]) + d[fail[q + 1]]
+    return d
+
+
 def absorption_times(p: Pattern) -> list[Fraction]:
     """Expected steps to reach the accept state from each automaton state.
 
@@ -29,20 +41,14 @@ def absorption_times(p: Pattern) -> list[Fraction]:
     every q (by induction from A_0 = A_1 = 1), so it shoots only the integer
     offsets D_q = E_0 - E_q forward; E_s = 0 then gives E_0 = D_s.
     """
-    s = len(p)
-    c = p.alphabet_size
-    fail = failure_links(p)
-    d = [0] * (s + 1)
-    d[1] = c
-    for q in range(1, s):
-        d[q + 1] = c * (d[q] - d[fail[q]]) + d[fail[q + 1]]
-    e0 = d[s]
+    d = _offsets(p)
+    e0 = d[-1]
     return [Fraction(e0 - dq) for dq in d]
 
 
 def expected_wait_markov(p: Pattern) -> Fraction:
     """Expected number of draws until the pattern first occurs (chain solve)."""
-    return absorption_times(p)[0]
+    return Fraction(_offsets(p)[-1])
 
 
 def correlation_set(p: Pattern) -> set[int]:

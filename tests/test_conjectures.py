@@ -1,3 +1,7 @@
+import csv
+import io
+from array import array
+
 import pytest
 
 from flipwait.conjectures import (
@@ -5,6 +9,7 @@ from flipwait.conjectures import (
     SPOT_CHECK_STRIDE,
     PatternRecord,
     ScanReport,
+    _grow,
     _power_form,
     power_form_check,
     report_as_dict,
@@ -203,6 +208,64 @@ def test_scan_violations_under_injected_faults_match_reference(monkeypatch, faul
         # one word with two violations: power form first, then spot check
         i = got.violations.index("power form fails for HTTHHTHH")
         assert got.violations[i + 1].startswith("spot check mismatch for HTTHHTHH:")
+
+
+def _reversal_fault(length, index, target, real=_grow):
+    """`_grow` with the reversal index of word `index` of length `length` set to `target`."""
+    def grow(es, rev, s):
+        es, rev = real(es, rev, s)
+        if s == length:
+            rev[index] = target
+        return es, rev
+    return grow
+
+
+def test_scan_reports_an_injected_reversal_fault(monkeypatch):
+    # word 37 of length 8 is no spot check, so only the reversal comparison can flag it
+    import flipwait.conjectures as conjectures_mod
+
+    assert 37 % SPOT_CHECK_STRIDE
+    monkeypatch.setattr(conjectures_mod, "_grow", _reversal_fault(8, 37, 0))
+    report = scan(8)
+    assert report.violations == ["reversal mismatch for HHTHHTHT"]
+    rec = report.records[2**8 - 2 + 37]
+    assert (rec.pattern, rec.reversal, rec.reversal_ok) == ("HHTHHTHT", "HHHHHHHH", False)
+
+
+def test_reversal_fault_comes_first_among_a_words_violations(monkeypatch):
+    import flipwait.conjectures as conjectures_mod
+
+    monkeypatch.setattr(conjectures_mod, "_power_form", _faulty_power_form)
+    monkeypatch.setattr(conjectures_mod, "expected_wait_markov", _faulty_chain_solve)
+    want = scan(8).violations
+    i = want.index("power form fails for HTTHHTHH")
+    assert want[i + 1].startswith("spot check mismatch for HTTHHTHH:")
+    monkeypatch.setattr(conjectures_mod, "_grow", _reversal_fault(8, 0b01100100, 0))
+    assert scan(8).violations == [*want[:i], "reversal mismatch for HTTHHTHH", *want[i:]]
+
+
+def test_a_lane_holds_e_at_the_length_limit():
+    # the constant words have the largest E of their length, 2**(s + 1) - 2
+    words = ["H" * MAX_LEN, "H" * (MAX_LEN - 1) + "T", "T" * (MAX_LEN - 1) + "H", "T" * MAX_LEN]
+    top = 2 ** (MAX_LEN - 1)
+    es, rev = _grow(array("I", [2 * top - 2] * 2), array("I", [0, top - 1]), MAX_LEN)
+    assert es.itemsize == 4 and max(es) == 2 ** (MAX_LEN + 1) - 2 < 2**32
+    assert es.tolist() == [expected_wait_conway(parse(w)) for w in words]
+    assert rev.tolist() == [0, top, top - 1, 2 * top - 1]
+
+
+def test_csv_streams_the_record_rows_from_the_columns(tmp_path):
+    report = scan(14)
+    path = tmp_path / "scan.csv"
+    write_csv(report, str(path))
+    assert report._records is None  # nothing built or cached
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(PatternRecord._fields)
+    for r in report.records:
+        writer.writerow([*r[:6], "" if r.power_form_ok is None else r.power_form_ok,
+                         "" if r.excess_exponents is None else " ".join(map(str, r.excess_exponents))])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_records_are_immutable_pattern_records(tmp_path):

@@ -161,6 +161,14 @@ def test_absorption_offsets_are_prefix_waiting_times():
             assert times[0] - times[q] == expected_wait_conway(prefix), (p, q)
 
 
+def test_markov_wait_is_the_start_state_absorption_time():
+    # both come from the same integer pass; the wait builds only its own Fraction
+    for p in _exhaustive([(2, 12), (3, 5), (4, 5), (5, 5), (6, 5)]):
+        wait, times = expected_wait_markov(p), absorption_times(p)
+        assert wait == times[0], p
+        assert type(wait) is Fraction and all(type(t) is Fraction for t in times), p
+
+
 def test_long_constant_pattern_chain_solve():
     assert expected_wait_markov(parse("H" * 200)) == 2**201 - 2
 
