@@ -4,25 +4,31 @@ Exit codes: 0 success, 1 usage error, 2 internal consistency failure
 (method disagreement in `expect --method all`), 3 scan found violations.
 JSON payloads carry "schema": 1 and print exact values as decimal strings
 (integers) or "p/q" strings (non-integer rationals); floats appear only for
-the intrinsically approximate simulation statistics.  The `counts` of
+the intrinsically approximate simulation statistics.  Every payload is
+printed by `jsontext.dumps`, which gives the bytes of json.dumps(...,
+indent=2) without json's pure-Python indent encoder.  The `counts` of
 `count` and the `values` of `seq` are str() of ints, so they hold only "-"
-and digits; `_emit` joins them into the output instead of passing them
-through the JSON encoder, with the same bytes as json.dumps.
+and digits; `_emit` joins them into the output as they are.
 
 The argument parser is built on the first `main` call and reused by every
-later call in the same process, so an in-process caller pays for argparse
-once; importing this module builds nothing.
+later call in the same process, so an in-process caller pays for building
+it once; importing this module builds nothing.  When the first argument
+names a command, `main` hands the rest straight to that command's
+subparser.  The top-level parser parses only what that route does not: no
+argument list (sys.argv is read), no command or an unknown one, and
+arguments the subparser leaves over.  So every usage error and help text
+is argparse's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from flipwait import automaton, conjectures, counting, exact, identities, sequences, simulate
 from flipwait.closed_form import dispatch
+from flipwait.jsontext import dumps
 from flipwait.pattern import (
     PatternError,
     complement,
@@ -67,17 +73,17 @@ def _approx(x: "Fraction | int") -> str:
 def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None):
     """Print json.dumps(payload, indent=2), with `digits` under `key` as its last key if given.
 
-    Every string in `digits` must be str() of an int or of an integral
-    Decimal: it holds only "-" and the digits 0-9, which JSON never escapes.
-    So the array is joined into the output as is, and the encoder, which is
-    pure Python with `indent` and walks every character, formats only the
-    rest.  The list must be nonempty and `key` must not be in `payload`.
-    The bytes equal json.dumps({**payload, key: digits}, indent=2).
+    `jsontext.dumps` writes the payload.  Every string in `digits` must be
+    str() of an int or of an integral Decimal: it holds only "-" and the
+    digits 0-9, which JSON never escapes, so the array (megabytes for a long
+    `count`) is joined into the output as is and passes through no encoder.
+    The list must be nonempty and `key` must not be in `payload`.  The bytes
+    equal json.dumps({**payload, key: digits}, indent=2).
     """
     if key is None:
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload))
         return
-    head = json.dumps({**payload, key: []}, indent=2)  # ends in '[]\n}'
+    head = dumps({**payload, key: []})  # ends in '[]\n}'
     print(head[:-3], '\n    "', '",\n    "'.join(digits), '"\n  ]\n}', sep="")
 
 
@@ -298,8 +304,10 @@ def _cmd_inspect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `commands` maps each command name to the command's subparser."""
     parser = _Parser(prog="flipwait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices
 
     def add_common(sp):
         sp.add_argument("pattern", help="H/T word for coins, comma-separated face indices for dice")
@@ -360,7 +368,15 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = None
+    if argv and argv[0] in _parser.commands:
+        # what the top-level parser's subparsers action does with argv[1:]
+        args, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
+        args.cmd = argv[0]
+        if rest:
+            args = None
+    if args is None:  # usage, help and "unrecognized arguments" come from the top-level parser
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (PatternError, ValueError) as exc:

@@ -19,7 +19,6 @@ the per-pattern `PatternRecord`s are built from them only when read.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from array import array
 from collections import Counter
@@ -28,6 +27,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from flipwait.exact import expected_wait_conway, expected_wait_markov
+from flipwait.jsontext import dumps
 from flipwait.pattern import Pattern, parse, reverse, runs
 
 INTERPRETATION = (
@@ -42,8 +42,9 @@ SPOT_CHECK_STRIDE = 100
 # index, beside the 4-byte columns of every length (ru_maxrss 40 / 106 / 380 MB
 # at L = 18 / 20 / 22, 13 MB of it the interpreter; Python 3.11).  L = 24 needs
 # about 1.5 GB and L = 25 about 3 GB; a 4-byte lane holds E < 2**(L + 1) for
-# both.  write_csv adds about 165 bytes per word of length L (one length's
-# texts and rows); reading `records`, as --out does, several times more.
+# both.  write_csv and write_json each add about 165 bytes per word of length
+# L (one length's texts and rows; ru_maxrss 87 MB for either at L = 18 through
+# the CLI); reading `records` costs several times more.
 MAX_LEN = 24
 
 
@@ -220,8 +221,7 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
     return report
 
 
-def report_as_dict(report: ScanReport) -> dict:
-    """JSON-ready form; exact integers are serialized as decimal strings."""
+def _summary(report: ScanReport) -> dict:
     return {
         "schema": 1,
         "max_len": report.max_len,
@@ -230,6 +230,13 @@ def report_as_dict(report: ScanReport) -> dict:
         "spot_checks": report.spot_checks,
         "violations": list(report.violations),
         "exponent_set_sizes": {str(k): v for k, v in report.exponent_histogram().items()},
+    }
+
+
+def report_as_dict(report: ScanReport) -> dict:
+    """JSON-ready form; exact integers are serialized as decimal strings."""
+    return {
+        **_summary(report),
         "records": [
             {
                 "pattern": r.pattern,
@@ -247,9 +254,30 @@ def report_as_dict(report: ScanReport) -> dict:
 
 
 def write_json(report: ScanReport, path: str):
+    """json.dump(report_as_dict(report), indent=2) and a newline, streamed record by record from the columns.
+
+    Neither `report.records` nor a list of record dicts is built: each
+    record is written by `jsontext.dumps` as its row comes out of `_rows`.
+    """
+    head = dumps({**_summary(report), "records": []})  # ends in '[]\n}'
+    indent = "\n    "
     with open(path, "w") as fh:
-        json.dump(report_as_dict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(head[:-3])
+        sep = indent
+        for rows in _rows(report.columns, exponents=list):
+            for pattern, length, e, rev, e_rev, ok, form_ok, exponents in rows:
+                fh.write(sep + dumps({
+                    "pattern": pattern,
+                    "length": length,
+                    "expected": str(e),
+                    "reversal": rev,
+                    "reversal_expected": str(e_rev),
+                    "reversal_ok": ok,
+                    "power_form_ok": form_ok,
+                    "excess_exponents": exponents,
+                }, indent))
+                sep = "," + indent
+        fh.write("]\n}\n" if sep == indent else "\n  ]\n}\n")  # json writes no records as []
 
 
 def write_csv(report: ScanReport, path: str):

@@ -1,0 +1,48 @@
+"""JSON text with the bytes of json.dumps(x, indent=2), without its pure-Python indent encoder.
+
+With `indent` set, CPython's json module formats in Python, one generator
+step per value and one escape pass per string.  `dumps` formats the
+payloads this package prints one value at a time: strings and keys through
+the C escape function json.dumps itself calls, a list of plain ints in one
+join.
+"""
+
+from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def dumps(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2) for dicts with str keys, lists, str, int, bool, None and float.
+
+    `indent` is the newline and indentation of the level holding `x`.
+    Anything else, a dict key that is not a str included, raises TypeError.
+    """
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + dumps(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        # type(), not isinstance(): json writes a bool as true, str() as True
+        if set(map(type, x)) == {int}:
+            items = map(str, x)
+        else:
+            items = [dumps(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

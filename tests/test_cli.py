@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from flipwait import cli, counting, sequences
+from flipwait import cli, counting, jsontext, sequences
 from flipwait.cli import main
-from flipwait.pattern import parse
+from flipwait.pattern import PatternError, parse
+from test_cli_docs import _examples as _readme_examples
 
 
 def run_cli(capsys, *argv):
@@ -389,6 +390,43 @@ def test_reused_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     assert fresh[5] == (1, "", "flipwait: error: id1 requires --k\n")
 
 
+def _top_level_outcome(capsys, argv):
+    """_outcome of argv parsed whole by a fresh top-level parser, then run by its command."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        code = args.func(args)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    except (PatternError, ValueError) as exc:
+        print(f"flipwait: error: {exc}", file=sys.stderr)
+        code = 1
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+DISPATCH_TABLE = [
+    *(argv.split() for argv, _ in _readme_examples()),
+    ["--help"], ["expect", "--help"], ["expect"], ["nope"], [],
+    ["scan", "--max-len", "2", "--threads", "2"], ["expect", "HT", "--bogus"],
+    ["expect", "HT", "--alph", "3"], ["expect", "HT", "--alphabet=3"],
+    ["count", "HT", "--upto", "x"], ["expect", "HT", "--method", "bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=" ".join)
+def test_main_matches_the_top_level_parser(capsys, argv):
+    # main hands argv[1:] to the command's subparser; leftovers, help and usage errors
+    # must still come out as the top-level parser gives them
+    assert _outcome(capsys, argv) == _top_level_outcome(capsys, argv)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["flipwait", "expect", "0,1,0", "--alph", "3", "--json"])
+    got = _outcome(capsys, None)
+    assert got[0] == 0 and json.loads(got[1])["results"]["markov"] == "30"
+    assert got == _top_level_outcome(capsys, None)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["expect", "HH", "--json"], 0),
     (["expect", "H" * 15000, "--method", "markov"], 0),
@@ -476,15 +514,17 @@ def test_count_still_stops_at_the_digit_limit(capsys):
 
 
 def test_count_and_seq_arrays_skip_the_json_encoder(capsys, monkeypatch):
-    # the arrays are joined, not encoded: 3009 string encodes each when they were
+    # the arrays are joined, not encoded: 3009 string encodes each when they were.
+    # Tallied at the JSON writer's own binding of the escape function, which it calls for
+    # every string and key it writes
     encoded = []
-    real = json.encoder.encode_basestring_ascii
+    real = jsontext.encode_basestring_ascii
 
     def tally(text):
         encoded.append(text)
         return real(text)
 
-    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", tally)
+    monkeypatch.setattr(jsontext, "encode_basestring_ascii", tally)
     for argv in (("count", "HH"), ("seq", "fib:3")):
         encoded.clear()
         code, out, _ = run_cli(capsys, *argv, "--upto", "3000", "--json")

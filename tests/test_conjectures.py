@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from array import array
 
 import pytest
@@ -266,6 +267,15 @@ def test_csv_streams_the_record_rows_from_the_columns(tmp_path):
         writer.writerow([*r[:6], "" if r.power_form_ok is None else r.power_form_ok,
                          "" if r.excess_exponents is None else " ".join(map(str, r.excess_exponents))])
     assert path.read_bytes() == want.getvalue().encode()
+
+
+@pytest.mark.parametrize("max_len", [10, 0])
+def test_json_streams_the_records_from_the_columns(tmp_path, max_len):
+    report = scan(max_len) if max_len else ScanReport(max_len=0)  # 0: a report with no records
+    path = tmp_path / "scan.json"
+    write_json(report, str(path))
+    assert report._records is None  # nothing built or cached
+    assert path.read_text() == json.dumps(report_as_dict(report), indent=2) + "\n"
 
 
 def test_records_are_immutable_pattern_records(tmp_path):
