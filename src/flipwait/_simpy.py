@@ -9,22 +9,35 @@ modulo the alphabet size.  Per-trial streams make the result independent of
 trial scheduling, so any batching or threading produces the same totals.
 
 The same independence lets a block of trials draw together.  Each round
-packs the next draws of every live trial, trial-major, into one Python int
-of W-bit lanes and runs the finalizer on every lane at once with a handful
-of whole-int shifts, xors, masks and multiplies.  A lane holds a 64-bit
-value under W = 128 + 8w bits, w = ceil(bits(c-1)/8): the product of two
-64-bit values never spills into the next lane, and a global right shift
-followed by a mask shifts every lane in place.  The residue mod c is the
-low byte when c is a power of two up to 256; otherwise it is
+draws `row` new symbols for every live trial into one Python int of W-bit
+lanes, laid out draw-major: lane j*live + t holds trial t's j-th new draw,
+so the int is the live trials' generator states repeated row times plus one
+offset row per draw, (j+1)*GAMMA in every lane of row j.  The finalizer runs
+on every lane at once with a handful of whole-int shifts, xors, masks and
+multiplies.  A lane holds a 64-bit value under W = 128 bits for a
+power-of-two alphabet up to 256, whose residue is the low byte, and
+W = 128 + 8w bits otherwise, w = ceil(bits(c-1)/8): the product of two 64-bit
+values never spills into the next lane, and a global right shift followed by
+a mask shifts every lane in place.  Otherwise the residue is
 x - c*floor(x*m / 2**(64+l)) with l = bits(c-1) and m = floor(2**(64+l)/c) + 1,
-exact for every 64-bit x (Granlund & Montgomery, PLDI 1994, Thm 4.2), and
-it sits in the low w bytes of the lane.  A trial's residues form one
-stretch of a bytes object, w bytes per symbol, and one `bytes.find` per
-trial, bounded to that stretch and accepted only at a multiple of w,
-finds the first occurrence of the word.  Each round redraws a survivor's
-last s-1 symbols, so an occurrence may straddle two rounds.  Game lengths,
-sums and the trial named by a flip-cap error equal those of the
-one-draw-at-a-time loop, kept in the tests as the reference, bit for bit.
+exact for every 64-bit x (Granlund & Montgomery, PLDI 1994, Thm 4.2), and it
+sits in the low w bytes of the lane.  The lane int's last row is every
+trial's state for the next round.
+
+The search is whole-int too.  Byte b of every symbol forms a bytes object
+of rows, live cells each: the last s-1 rows of the previous round, carried
+rather than redrawn, then the new rows.  Read as one int, it is xored with
+each word symbol's byte repeated and shifted k rows for the word's k-th
+symbol; the or of these is zero, in every byte b, exactly in a row where a
+whole occurrence starts.  A zero test marks those cells, the last s-1 rows
+are dropped (an occurrence starting there ends in the next round), and
+log2(rows) shift-ors spread each column's first mark to every row below it.
+The marks that the row above lacks are each finished game's first
+occurrence; counting them row by row gives the sums, and the last row names
+the survivors, whose states and carried rows are kept with
+`itertools.compress`.  Game lengths, sums and the trial named by a flip-cap
+error equal those of the one-draw-at-a-time loop, kept in the tests as the
+reference, bit for bit.
 """
 
 from itertools import compress, repeat
@@ -40,9 +53,9 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 LANES = 1 << 12  # lanes per round, so every packed int stays near 70 KB
-TRIAL_COST = 6  # overhead of one trial in one round, in lanes
+TRIAL_COST = 2  # overhead of one trial in one round, in lanes
 ROUND_COST = 100  # overhead of one round, in lanes
-NOT_FOUND = -1
+ZERO = b"\x01" + bytes(255)  # translate table: 1 for a zero byte, 0 for any other
 
 
 def _word(flat, accept: int, nsym: int) -> Pattern:
@@ -80,13 +93,6 @@ def _finalize(z: int, m64: int) -> int:
     return (z ^ (z >> 31)) & m64
 
 
-def _aligned(buf: bytes, target: bytes, hit: int, end: int, w: int) -> int:
-    """First occurrence at a multiple of w at or after byte `hit` and before `end`, or -1."""
-    while hit >= 0 and hit % w:
-        hit = buf.find(target, hit + 1, end)
-    return hit
-
-
 def run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
     """`play` for the word whose row-major automaton table (state * nsym +
     symbol) is `flat`; raises ValueError if the table is no such automaton.
@@ -95,6 +101,8 @@ def run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
     benchmark's batch-split check and the tests' one-draw reference.
     """
     return play(_word(flat, accept, nsym), trials, seed, first_trial, flip_cap)
+
+
 
 
 def play(p: Pattern, trials, seed, first_trial, flip_cap):
@@ -111,24 +119,26 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
         e += c**q
         q = fail[q]
     w = max(1, ((c - 1).bit_length() + 7) // 8)
-    lane = 16 + w  # bytes per lane
-    target = b"".join(x.to_bytes(w, "little") for x in word)
+    # byte b of every symbol of the word, one bytes object per b
+    word_bytes = [bytes((x >> 8 * b) & 255 for x in word) for b in range(w)]
     if c & (c - 1) == 0 and c <= 256:
         low_byte = bytes(b & (c - 1) for b in range(256))
+        lane = 16  # bytes per lane
     else:
         low_byte = None
         shift = 64 + (c - 1).bit_length()
         magic = (1 << shift) // c + 1
+        lane = 16 + w
 
     def row_for(live: int) -> int:
         """New draws per trial in a round: sqrt(2*E*overhead) balances the
         draws a finished trial wastes (about half a row) against the rounds
         it waits, and the round's overhead is shared by its live trials."""
-        return isqrt(2 * min(e, LANES * LANES) * (TRIAL_COST + ROUND_COST // live))
+        return max(1, isqrt(2 * min(e, LANES * LANES) * (TRIAL_COST + ROUND_COST // live)))
 
-    # a round of `live` <= block trials packs live * (kept + row) <= most lanes
-    block = max(1, min(trials, LANES // (s - 1 + row_for(LANES))))
-    most = max(s, min(LANES, block * (s - 1 + row_for(1))))
+    # a round of `live` <= block trials draws live * row <= most lanes
+    block = max(1, min(trials, LANES // row_for(LANES)))
+    most = min(LANES, block * row_for(1))
     # lane constants for this call; iota's lane k holds k, built by doubling
     bits = 8 * lane
     ones = int.from_bytes((b"\x01" + bytes(lane - 1)) * most, "little")
@@ -144,6 +154,10 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
         lo = (1 << (bits * n)) - 1
         return ((ramp & lo) + base * (ones & lo)) & m64
 
+    # steps[j] is one lane holding (j + 1)*GAMMA, up to the longest row a round can draw
+    longest = min(LANES, row_for(1), flip_cap)
+    sb = lanes(GAMMA, longest).to_bytes(lane * longest, "little")
+    steps = [sb[i:i + lane] for i in range(0, lane * longest, lane)]
     total = 0
     total_sq = 0
     mn = flip_cap + 1
@@ -151,51 +165,76 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     for start in range(0, trials, block):
         n = min(block, trials - start)
         z0 = _finalize(lanes((seed + (first_trial + start + 1) * GAMMA) & MASK64, n), m64)
-        zb = z0.to_bytes(lane * n, "little")
-        z0s = [zb[j:j + lane] for j in range(0, lane * n, lane)]
+        zb = z0.to_bytes(lane * n, "little")  # each live trial's state: its start plus drawn*GAMMA
         ids = range(start, start + n)
+        kept = [b""] * w  # each live trial's last min(s-1, drawn) symbols, row by row
+        rows_kept = 0
         drawn = 0  # draws made by every live trial
-        while z0s:
+        shape = None
+        while ids:
             if drawn >= flip_cap:
                 raise ValueError(f"flip cap {flip_cap} exceeded in trial {first_trial + ids[0]}")
-            live = len(z0s)
-            # redraw the last s-1 symbols so that an occurrence may straddle rounds
-            kept = min(s - 1, drawn)
-            row = max(1, min(row_for(live), LANES // live - kept, flip_cap - drawn))
-            width = kept + row
-            offsets = lanes(((drawn - kept + 1) * GAMMA) & MASK64, width).to_bytes(lane * width, "little")
-            z = int.from_bytes(b"".join(map(mul, z0s, repeat(width))), "little")
-            z = _finalize((z + int.from_bytes(offsets * live, "little")) & m64, m64)
+            live = len(ids)
+            row = min(row_for(live), LANES // live, flip_cap - drawn)
+            # lane j*live + t holds trial t's state plus (j + 1)*GAMMA: its draw drawn + j + 1
+            if (row, live) != shape:
+                shape = (row, live)
+                offsets = int.from_bytes(b"".join(map(bytes.__mul__, steps[:row], repeat(live))), "little")
+            z = (int.from_bytes(zb * row, "little") + offsets) & m64
+            zb = (z >> (bits * live * (row - 1))).to_bytes(lane * live, "little")  # the last row
+            z = _finalize(z, m64)
             if low_byte is None:
                 z -= ((z * magic >> shift) & m64) * c
-            raw = z.to_bytes(lane * width * live, "little")
+            raw = z.to_bytes(lane * row * live, "little")
             if low_byte is not None:
-                sym = raw[::lane].translate(low_byte)
-            elif w == 1:
-                sym = raw[::lane]
+                new = [raw[::lane].translate(low_byte)]
             else:
-                out = bytearray(w * width * live)
-                for j in range(w):
-                    out[j::w] = raw[j::lane]
-                sym = bytes(out)
-            span = w * width
-            ends = range(span, span * live + 1, span)
-            hits = list(map(sym.find, repeat(target), range(0, span * live, span), ends))
-            if w > 1:
-                hits = list(map(_aligned, repeat(sym), repeat(target), hits, ends, repeat(w)))
-            done = list(map(span.__rmod__, filter(NOT_FOUND.__ne__, hits)))
-            if done:
-                if w > 1:
-                    done = [h // w for h in done]
-                # game length = symbol index of the hit + offset
-                offset = drawn - kept + s
-                h1 = sum(done)
-                total += h1 + offset * len(done)
-                total_sq += sum(map(mul, done, done)) + 2 * offset * h1 + offset * offset * len(done)
-                mn = min(mn, min(done) + offset)
-                mx = max(mx, max(done) + offset)
+                new = [raw[b::lane] for b in range(w)]
+            # the round's symbols, byte b of each in syms[b]: the kept rows, then the new ones
+            syms = [k + x for k, x in zip(kept, new)]
+            rows = rows_kept + row
+            starts_at = rows - s + 1  # rows where a whole word of s rows can start
+            cells = rows * live
+            rb = 8 * live  # bits per row
+            hit = 0
+            if starts_at > 0:
+                miss = 0
+                for sym, target in zip(syms, word_bytes):
+                    x = int.from_bytes(sym, "little")
+                    diff = {v: x ^ int.from_bytes(bytes((v,)) * cells, "little") for v in set(target)}
+                    for k, v in enumerate(target):
+                        miss |= diff[v] >> (k * rb)
+                # 1 in row r of a column whose word starts at symbol row r
+                hit = int.from_bytes(miss.to_bytes(cells, "little")[:starts_at * live].translate(ZERO), "little")
+            if hit:
+                # spread each column's first hit to every row below it
+                span = rb
+                while span < starts_at * rb:
+                    hit |= hit << span
+                    span *= 2
+                lo = (1 << (starts_at * rb)) - 1
+                hit &= lo
+                # first hit of each finished column, at byte row * live + column;
+                # count them row by row from the first to the last row holding one
+                first = ((hit ^ (hit << rb)) & lo).to_bytes(starts_at * live, "little")
+                top, end = first.find(1) // live * live, first.rfind(1) // live * live + live
+                counts = list(map(first.count, repeat(1), range(top, end, live), range(top + live, end + live, live)))
+                # a word starting in row r ends the game at draw drawn - rows_kept + s + r
+                base = drawn - rows_kept + s
+                lengths = range(base + top // live, base + end // live)
+                total += sum(map(mul, counts, lengths))
+                total_sq += sum(map(mul, counts, map(mul, lengths, lengths)))
+                mn = min(mn, lengths[0])
+                mx = max(mx, lengths[-1])
             drawn += row
-            alive = list(map(NOT_FOUND.__eq__, hits))
-            z0s = list(compress(z0s, alive))
-            ids = list(compress(ids, alive))
+            # the last s-1 symbol rows go on to the next round, where a word may start in them
+            rows_kept = min(s - 1, rows)
+            cut = (rows - rows_kept) * live
+            if hit:
+                alive = (hit >> ((starts_at - 1) * rb)).to_bytes(live, "little").translate(ZERO)
+                ids = list(compress(ids, alive))
+                zb = b"".join([zb[i:i + lane] for i in compress(range(0, lane * live, lane), alive)])
+                kept = [bytes(compress(sym[cut:], alive * rows_kept)) for sym in syms]
+            else:
+                kept = [sym[cut:] for sym in syms]
     return total, total_sq, mn, mx

@@ -8,7 +8,10 @@ the intrinsically approximate simulation statistics.  Every payload is
 printed by `jsontext.dumps`, which gives the bytes of json.dumps(...,
 indent=2) without json's pure-Python indent encoder.  The `counts` of
 `count` and the `values` of `seq` are str() of ints, so they hold only "-"
-and digits; `_emit` joins them into the output as they are.
+and digits; `_emit` joins them into the output as they are.  Those two
+payloads test every value against Python's int->str digit limit before any
+decimal work, so one that cannot be printed fails at once with CPython's
+own error.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process, so an in-process caller pays for building
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 from flipwait import automaton, conjectures, counting, exact, identities, sequences, simulate
 from flipwait.closed_form import dispatch
+from flipwait.exact import exact_str as _exact_str
 from flipwait.jsontext import dumps
 from flipwait.pattern import (
     PatternError,
@@ -48,18 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _exact_str(x: "Fraction | int") -> str:
-    """str(x) of any size: Python's int->str digit limit is lifted for this conversion only."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before 3.10.7 have no limit
-        return str(x)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _rat_str(x: "Fraction | int") -> str:
@@ -138,7 +130,7 @@ def _cmd_count(args) -> int:
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "upto": args.upto,
-        }, "counts", list(vec.decimal_strings()))
+        }, "counts", list(vec.decimal_strings(check_first=True)))
     else:
         print(f"first-occurrence counts for {p.text()}")
         for n, text in enumerate(vec.decimal_strings()):
@@ -148,7 +140,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_seq(args) -> int:
     family = sequences.parse_family(args.family)
-    texts = sequences.value_strings(family, args.upto)
+    texts = sequences.value_strings(family, args.upto, check_first=args.json)
     if args.json:
         _emit({
             "schema": SCHEMA,

@@ -253,29 +253,42 @@ def report_as_dict(report: ScanReport) -> dict:
     }
 
 
+# one record of write_json at its depth in the report; the texts of the words
+# hold only H and T, so they need no escaping
+_RECORD = """{
+      "pattern": "%s",
+      "length": %d,
+      "expected": "%d",
+      "reversal": "%s",
+      "reversal_expected": "%d",
+      "reversal_ok": %s,
+      "power_form_ok": %s,
+      "excess_exponents": %s
+    }"""
+_WORDS = {True: "true", False: "false", None: "null"}
+
+
+def _json_ints(values: tuple) -> str:
+    """The JSON list of `values` at the depth of a record's field."""
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
+
+
 def write_json(report: ScanReport, path: str):
     """json.dump(report_as_dict(report), indent=2) and a newline, streamed record by record from the columns.
 
     Neither `report.records` nor a list of record dicts is built: each
-    record is written by `jsontext.dumps` as its row comes out of `_rows`.
+    record's fields fill `_RECORD` as its row comes out of `_rows`, and the
+    exponent list is written once per distinct E.
     """
     head = dumps({**_summary(report), "records": []})  # ends in '[]\n}'
     indent = "\n    "
     with open(path, "w") as fh:
         fh.write(head[:-3])
         sep = indent
-        for rows in _rows(report.columns, exponents=list):
+        for rows in _rows(report.columns, exponents=_json_ints):
             for pattern, length, e, rev, e_rev, ok, form_ok, exponents in rows:
-                fh.write(sep + dumps({
-                    "pattern": pattern,
-                    "length": length,
-                    "expected": str(e),
-                    "reversal": rev,
-                    "reversal_expected": str(e_rev),
-                    "reversal_ok": ok,
-                    "power_form_ok": form_ok,
-                    "excess_exponents": exponents,
-                }, indent))
+                fh.write(sep + _RECORD % (pattern, length, e, rev, e_rev, _WORDS[ok], _WORDS[form_ok],
+                                          exponents or "null"))
                 sep = "," + indent
         fh.write("]\n}\n" if sep == indent else "\n  ]\n}\n")  # json writes no records as []
 

@@ -80,14 +80,15 @@ class CountVector:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def decimal_strings(self) -> Iterator[str]:
+    def decimal_strings(self, check_first: bool = False) -> Iterator[str]:
         """str(v) for every count, in time linear in its digits past ~1024 bits.
 
         Counts from the empty stream obey the recurrence from n = s+1 on,
-        which Recurrence.strings reruns in exact decimal arithmetic.
+        which Recurrence.strings reruns in exact decimal arithmetic;
+        check_first is passed on to it.
         """
         rec = self.recurrence if self.recurrence is not None else _pattern_recurrence(self.pattern)
-        return rec.strings(self.counts, len(self.pattern) + 1)
+        return rec.strings(self.counts, len(self.pattern) + 1, check_first)
 
 
 def count_first_occurrence(p: Pattern, N: int) -> CountVector:

@@ -15,10 +15,23 @@ definition as references for both.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from flipwait.automaton import failure_links, match
 from flipwait.pattern import Pattern, as_symbols
+
+
+def exact_str(x: "Fraction | int") -> str:
+    """str(x) of any size: Python's int->str digit limit is lifted for this conversion only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before 3.10.7 have no limit
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _offsets(p: Pattern) -> list[int]:

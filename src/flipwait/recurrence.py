@@ -117,7 +117,7 @@ class Recurrence:
                     v += coeff * values[n + i]
             append(v)
 
-    def strings(self, stored, start: int) -> Iterator[str]:
+    def strings(self, stored, start: int, check_first: bool = False) -> Iterator[str]:
         """Yield str(v) for every v in `stored`, in order.
 
         stored[n] must obey the recurrence for every n >= start, and start
@@ -127,8 +127,17 @@ class Recurrence:
         stored[n0 - max_lag : n0].  The stored ints stay the source of truth:
         a string longer than sys.get_int_max_str_digits() allows is replaced
         by str() of the stored int, which raises CPython's own error, and the
-        last rerun value must equal the last stored value.
+        last rerun value must equal the last stored value.  With check_first,
+        every stored int is tested against the limit once before anything is
+        yielded, so a caller that prints all the strings or none fails before
+        the decimal rerun, through str() of the first int past the limit.
         """
+        # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if check_first and limit:
+            bound = 10**limit
+            for v in filter(bound.__le__, map(abs, stored)):
+                str(v)  # more than `limit` digits: CPython raises
         total = len(stored)
         n = 0
         while n < total and (n < start or stored[n].bit_length() <= _DECIMAL_BITS):
@@ -136,8 +145,6 @@ class Recurrence:
             n += 1
         if n == total:
             return
-        # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         max_lag = self.max_lag
         # converting an int to Decimal is exact in any context
         window = deque((decimal.Decimal(v) for v in stored[n - max_lag:n]), max_lag)

@@ -198,8 +198,8 @@ def value(f: SeqFamily, n: int) -> int:
     return history[n - origin]
 
 
-def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
-    """str(value(f, n)) for n = 0..upto, through Recurrence.strings.
+def value_strings(f: SeqFamily, upto: int, check_first: bool = False) -> Iterator[str]:
+    """str(value(f, n)) for n = 0..upto, through Recurrence.strings (check_first passed on).
 
     The recurrence holds from base_index(f) + 1 on, with zeros below the
     seed; the switch waits a further max lag so every tap reads a stored
@@ -210,7 +210,7 @@ def value_strings(f: SeqFamily, upto: int) -> Iterator[str]:
     rec = _recurrence(f)
     history, origin = _history(f, upto)
     # every family's max lag is at least its seed index, so origin <= 0
-    return rec.strings(history[-origin:upto - origin + 1], base_index(f) + rec.max_lag + 1)
+    return rec.strings(history[-origin:upto - origin + 1], base_index(f) + rec.max_lag + 1, check_first)
 
 
 def fib_bar_variants(k: int, n: int) -> tuple[int, int]:

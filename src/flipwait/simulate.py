@@ -8,10 +8,12 @@ trials, seed) on every platform, batch split, or thread count.  Trials
 accumulate into exact integer sums and only the final mean and standard
 error are floats.
 
-One kernel runs: `_simpy.play` plays a block of games in lockstep on
-packed-integer lanes and finds each first occurrence with `bytes.find`; it
-returns the same sums, bit for bit, as the one-draw-at-a-time loop the
-tests keep as its reference.
+One kernel runs: `_simpy.play` plays a block of games in lockstep, draws
+each round's symbols for every live game on packed-integer lanes, and finds
+where every game ends with whole-int operations on the round's symbols,
+carrying each survivor's last s-1 symbols into the next round instead of
+redrawing them; it returns the same sums, bit for bit, as the
+one-draw-at-a-time loop the tests keep as its reference.
 
 No game draws more than max(FLIP_CAP, 64*E(S)) symbols.  From every
 automaton state the expected remaining wait is at most E, so by Markov's
@@ -19,6 +21,13 @@ inequality a game outlives each further 2E draws with probability at most
 1/2, and it passes 64E with probability at most 2**-32 (the true tail
 decays like e**-64).  A fixed 10**7 cap is overrun by coin runs of length
 22 and up, whose E is about 8.4 million.
+
+A run whose expected draws, trials * E(S), pass SIM_BUDGET is refused before
+the first draw.  The kernel's fastest measured rate is about 10**7 draws per
+second (about 100 ns per draw for few games with a large E on a 2-vCPU
+shared host; 150-300 ns for the benchmark's many short games), so a refused
+run would take more than a minute.  The largest runs of the tests, the
+README and the benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from flipwait import _simpy
-from flipwait.exact import expected_wait_markov
+from flipwait.exact import exact_str, expected_wait_markov
 from flipwait.pattern import Pattern
 
 MASK64 = (1 << 64) - 1
@@ -35,6 +44,7 @@ FLIP_CAP = 10**7  # the flip cap never drops below this; the benchmark passes it
 # Read only by the benchmark's simulate check, which re-splits reports of more
 # trials than this; simulate_wait plays every trial in one kernel call.
 BATCH_SIZE = 1 << 16
+SIM_BUDGET = 6 * 10**8  # most expected draws, trials * E(S), of one run
 
 
 def kernel_name() -> str:
@@ -66,13 +76,18 @@ def simulate_wait(p: Pattern, trials: int, seed: int, kernel: str | None = None)
     """Run independent games until first occurrence and aggregate their lengths.
 
     Raises ValueError for trials < 1, for a kernel other than None or
-    'python' (the keyword stays because the benchmark passes it), or when a
-    single game exceeds flip_cap(p) draws.
+    'python' (the keyword stays because the benchmark passes it), when the
+    expected draws pass SIM_BUDGET, or when a single game exceeds
+    flip_cap(p) draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if kernel not in (None, "python"):
         raise ValueError(f"unknown kernel {kernel!r} (only 'python' exists)")
+    e = expected_wait_markov(p)
+    if trials * e > SIM_BUDGET:
+        raise ValueError(f"{trials} games of {p.text()} expect {exact_str(trials * e)} draws (E = {exact_str(e)}), "
+                         f"more than the simulation budget of {SIM_BUDGET} draws")
     seed &= MASK64
     total, total_sq, mn, mx = _simpy.play(p, trials, seed, 0, flip_cap(p))
     mean = total / trials

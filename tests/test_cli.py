@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flipwait import cli, counting, jsontext, sequences
+from flipwait import cli, counting, jsontext, recurrence, sequences
 from flipwait.cli import main
 from flipwait.pattern import PatternError, parse
 from test_cli_docs import _examples as _readme_examples
@@ -511,6 +511,27 @@ def test_count_still_stops_at_the_digit_limit(capsys):
     code, _, err = run_cli(capsys, "count", "2,1", "--alphabet", "100", "--upto", "4000")
     assert code == 1
     assert err.startswith("flipwait: error: Exceeds the limit (4300 digits) for integer string conversion")
+
+
+class _NoRerun:
+    """Stands in for the decimal context: any decimal rerun fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the decimal rerun ran ({name})")
+
+
+def test_json_count_and_seq_fail_before_the_decimal_rerun(capsys, int_digits, monkeypatch):
+    # the counts of "0" over 11 symbols are 10**(n-1): the count at n has n digits
+    int_digits(700)
+    code, out, err = run_cli(capsys, "count", "0", "--alphabet", "11", "--upto", "700", "--json")
+    assert code == 0 and err == "" and json.loads(out)["counts"][-1] == "1" + "0" * 699
+    text = run_cli(capsys, "count", "0", "--alphabet", "11", "--upto", "701")
+    assert text[0] == 1 and text[1].count("\n") == 702  # the header and n = 0..700
+    monkeypatch.setattr(recurrence, "_EXACT", _NoRerun())
+    assert run_cli(capsys, "count", "0", "--alphabet", "11", "--upto", "701", "--json") == (1, "", text[2])
+    assert text[2].startswith("flipwait: error: Exceeds the limit (700 digits) for integer string conversion")
+    code, out, err = run_cli(capsys, "seq", "fib:3", "--upto", "3000", "--json")
+    assert (code, out) == (1, "") and err.startswith("flipwait: error: Exceeds the limit (700 digits)")
 
 
 def test_count_and_seq_arrays_skip_the_json_encoder(capsys, monkeypatch):

@@ -1,14 +1,16 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from flipwait import _simpy, automaton
+from flipwait import _simpy, automaton, simulate
 from flipwait.automaton import build
 from flipwait.exact import expected_wait_markov
 from flipwait.pattern import Pattern, enumerate_patterns, parse
-from flipwait.simulate import FLIP_CAP, SimReport, flip_cap, kernel_name, simulate_wait
+from flipwait.simulate import FLIP_CAP, SIM_BUDGET, SimReport, flip_cap, kernel_name, simulate_wait
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -185,16 +187,42 @@ def _identity_cases():
             trials = rng.randint(1, max(1, 20000 // e))
             cap = rng.choice((FLIP_CAP, FLIP_CAP, rng.randint(1, 60)))
             cases.append((word, c, trials, seed, first, cap))
+    # two-byte symbols: a planted word of 2 or 3 symbols ends the one game after
+    # 200-400 draws, while E is 66049 or more, so small rounds carry its symbols
+    for c in (257, 1000):
+        for s in (2, 3):
+            seed, first, at = rng.getrandbits(64), rng.getrandbits(32), rng.randrange(200, 400)
+            cases.append((_draws(seed, first, at + s, c)[at:], c, 1, seed, first, FLIP_CAP))
     return cases
 
 
-@pytest.mark.parametrize("word,c,trials,seed,first,cap", _identity_cases())
+IDENTITY_CASES = _identity_cases()
+
+
+@lru_cache(maxsize=None)
+def _reference_outcome(case: int):
+    word, c, trials, seed, first, cap = IDENTITY_CASES[case]
+    return _outcome(_reference_run_batch, _flat(word, c), len(word), c, trials, seed, first, cap)
+
+
+@pytest.mark.parametrize("word,c,trials,seed,first,cap", IDENTITY_CASES)
 def test_lockstep_kernel_matches_reference(word, c, trials, seed, first, cap):
     flat = _flat(word, c)
     args = (flat, len(word), c, trials, seed, first, cap)
-    expected = _outcome(_reference_run_batch, *args)
+    expected = _reference_outcome(IDENTITY_CASES.index((word, c, trials, seed, first, cap)))
     assert _outcome(_simpy.run_batch, *args) == expected
     assert _outcome(_simpy.play, Pattern(word, c), trials, seed, first, cap) == expected
+
+
+@pytest.mark.parametrize("lanes", [8, 16, 64])
+@pytest.mark.parametrize("case", range(len(IDENTITY_CASES)))
+def test_lockstep_kernel_matches_reference_in_small_rounds(monkeypatch, lanes, case):
+    # rounds of at most `lanes` draws: rows shorter than s-1, blocks of one
+    # trial, and symbols carried across many rounds
+    monkeypatch.setattr(_simpy, "LANES", lanes)
+    word, c, trials, seed, first, cap = IDENTITY_CASES[case]
+    got = _outcome(_simpy.play, Pattern(word, c), trials, seed, first, cap)
+    assert got == _reference_outcome(case)
 
 
 def test_flip_cap_boundary_names_the_first_trial_over_it():
@@ -225,6 +253,30 @@ def test_simulate_wait_passes_the_derived_cap(monkeypatch):
     monkeypatch.setattr(_simpy, "play", play)
     report = simulate_wait(parse("H" * 22), 2, 3, kernel="python")
     assert caps == [64 * (2**23 - 2)] and report.min_flips == 22
+
+
+def test_simulation_budget_refuses_before_the_first_draw(monkeypatch):
+    # E stubbed: 4 trials of E = SIM_BUDGET / 4 expect exactly the budget, one more draw is over it
+    calls = []
+
+    def play(p, trials, seed, first_trial, cap):
+        calls.append(trials)
+        return trials, trials, 1, 1
+
+    monkeypatch.setattr(_simpy, "play", play)
+    monkeypatch.setattr(simulate, "expected_wait_markov", lambda p: Fraction(SIM_BUDGET // 4))
+    assert simulate_wait(parse("HT"), 4, 1).trials == 4 and calls == [4]
+    monkeypatch.setattr(simulate, "expected_wait_markov", lambda p: Fraction(SIM_BUDGET + 1))
+    with pytest.raises(ValueError, match=f"^1 games of HT expect {SIM_BUDGET + 1} draws \\(E = {SIM_BUDGET + 1}\\), "
+                                         f"more than the simulation budget of {SIM_BUDGET} draws$"):
+        simulate_wait(parse("HT"), 1, 1)
+    assert calls == [4]
+
+
+def test_simulation_budget_passes_the_largest_runs():
+    # H*22 with 2 trials (the flip-cap test's run) and criterion 11's 10**6 HH games
+    assert 2 * expected_wait_markov(parse("H" * 22)) < SIM_BUDGET
+    assert 10**6 * expected_wait_markov(parse("HH")) < SIM_BUDGET
 
 
 def test_report_across_the_old_batch_boundary_is_pinned(monkeypatch):
