@@ -27,9 +27,9 @@ trial's state for the next round.
 The search is whole-int too.  Byte b of every symbol forms a bytes object
 of rows, live cells each: the last s-1 rows of the previous round, carried
 rather than redrawn, then the new rows.  Read as one int, it is xored with
-each word symbol's byte repeated and shifted k rows for the word's k-th
-symbol; the or of these is zero, in every byte b, exactly in a row where a
-whole occurrence starts.  A zero test marks those cells, the last s-1 rows
+byte b of the word's k-th symbol in every cell and shifted down k rows; the
+or of these over every k and b is zero exactly in the cells where a whole
+occurrence starts.  A zero test marks those cells, the last s-1 rows
 are dropped (an occurrence starting there ends in the next round), and
 log2(rows) shift-ors spread each column's first mark to every row below it.
 The marks that the row above lacks are each finished game's first

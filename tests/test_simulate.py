@@ -273,12 +273,6 @@ def test_simulation_budget_refuses_before_the_first_draw(monkeypatch):
     assert calls == [4]
 
 
-def test_simulation_budget_passes_the_largest_runs():
-    # H*22 with 2 trials (the flip-cap test's run) and criterion 11's 10**6 HH games
-    assert 2 * expected_wait_markov(parse("H" * 22)) < SIM_BUDGET
-    assert 10**6 * expected_wait_markov(parse("HH")) < SIM_BUDGET
-
-
 def test_report_across_the_old_batch_boundary_is_pinned(monkeypatch):
     # computed when simulate_wait still split the trials into calls of 2**16;
     # one kernel call over all 65541 trials gives the same report, bit for bit
