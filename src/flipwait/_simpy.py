@@ -14,7 +14,9 @@ lanes, laid out draw-major: lane j*live + t holds trial t's j-th new draw,
 so the int is the live trials' generator states repeated row times plus one
 offset row per draw, (j+1)*GAMMA in every lane of row j.  The finalizer runs
 on every lane at once with a handful of whole-int shifts, xors, masks and
-multiplies.  A lane holds a 64-bit value under W = 128 bits for a
+multiplies.  A block's first round repeats its start states in the int
+domain, by log2(row) shift-ors of their int; later rounds repeat the
+survivors' state bytes.  A lane holds a 64-bit value under W = 128 bits for a
 power-of-two alphabet up to 256, whose residue is the low byte, and
 W = 128 + 8w bits otherwise, w = ceil(bits(c-1)/8): the product of two 64-bit
 values never spills into the next lane, and a global right shift followed by
@@ -38,6 +40,13 @@ the survivors, whose states and carried rows are kept with
 `itertools.compress`.  Game lengths, sums and the trial named by a flip-cap
 error equal those of the one-draw-at-a-time loop, kept in the tests as the
 reference, bit for bit.
+
+What every block shares is built once per call: the lane masks, the offset
+rows of the shape every full block starts with, (row, block), and each
+nonzero symbol byte repeated over the largest search a round can make
+(most new cells plus s-1 carried rows of a block), which a right shift cuts
+to a round's cells; symbol byte 0 needs no xor.  Later rounds rebuild their
+offset rows whenever their shape changes.  Nothing outlives the call.
 """
 
 from itertools import compress, repeat
@@ -158,6 +167,18 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     longest = min(LANES, row_for(1), flip_cap)
     sb = lanes(GAMMA, longest).to_bytes(lane * longest, "little")
     steps = [sb[i:i + lane] for i in range(0, lane * longest, lane)]
+
+    def offset_rows(row: int, live: int) -> int:
+        """row rows of live lanes; every lane of row j holds (j + 1)*GAMMA."""
+        return int.from_bytes(b"".join(map(bytes.__mul__, steps[:row], repeat(live))), "little")
+
+    # every full block starts with this shape, so its offset rows are built once
+    start_shape = (min(row_for(block), LANES // block, flip_cap), block)
+    start_offsets = offset_rows(*start_shape)
+    # each nonzero symbol byte repeated over the largest search: live * row <= most
+    # new cells plus s-1 carried rows of live <= block cells; cut to a round's cells by a shift
+    size = most + (s - 1) * block
+    repeated = {v: int.from_bytes(bytes((v,)) * size, "little") for v in set(b"".join(word_bytes)) if v}
     total = 0
     total_sq = 0
     mn = flip_cap + 1
@@ -165,7 +186,6 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     for start in range(0, trials, block):
         n = min(block, trials - start)
         z0 = _finalize(lanes((seed + (first_trial + start + 1) * GAMMA) & MASK64, n), m64)
-        zb = z0.to_bytes(lane * n, "little")  # each live trial's state: its start plus drawn*GAMMA
         ids = range(start, start + n)
         kept = [b""] * w  # each live trial's last min(s-1, drawn) symbols, row by row
         rows_kept = 0
@@ -179,9 +199,21 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
             # lane j*live + t holds trial t's state plus (j + 1)*GAMMA: its draw drawn + j + 1
             if (row, live) != shape:
                 shape = (row, live)
-                offsets = int.from_bytes(b"".join(map(bytes.__mul__, steps[:row], repeat(live))), "little")
-            z = (int.from_bytes(zb * row, "little") + offsets) & m64
-            zb = (z >> (bits * live * (row - 1))).to_bytes(lane * live, "little")  # the last row
+                offsets = start_offsets if shape == start_shape else offset_rows(row, live)
+            if drawn:
+                z = int.from_bytes(zb * row, "little")
+            else:
+                # the start states repeated row times, one bit of row at a time: z holds `have` rows
+                z, have = z0, 1
+                for bit in bin(row)[3:]:
+                    z |= z << (bits * live * have)
+                    have *= 2
+                    if bit == "1":
+                        z = z << (bits * live) | z0
+                        have += 1
+            z = (z + offsets) & m64
+            # each live trial's state, its start plus drawn*GAMMA: the last row
+            zb = (z >> (bits * live * (row - 1))).to_bytes(lane * live, "little")
             z = _finalize(z, m64)
             if low_byte is None:
                 z -= ((z * magic >> shift) & m64) * c
@@ -201,7 +233,7 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
                 miss = 0
                 for sym, target in zip(syms, word_bytes):
                     x = int.from_bytes(sym, "little")
-                    diff = {v: x ^ int.from_bytes(bytes((v,)) * cells, "little") for v in set(target)}
+                    diff = {v: x ^ (repeated[v] >> 8 * (size - cells)) if v else x for v in set(target)}
                     for k, v in enumerate(target):
                         miss |= diff[v] >> (k * rb)
                 # 1 in row r of a column whose word starts at symbol row r

@@ -193,6 +193,12 @@ def _identity_cases():
         for s in (2, 3):
             seed, first, at = rng.getrandbits(64), rng.getrandbits(32), rng.randrange(200, 400)
             cases.append((_draws(seed, first, at + s, c)[at:], c, 1, seed, first, FLIP_CAP))
+    # three full blocks of 409 and a partial one on 17-byte lanes (c = 3, E = 27):
+    # only the full blocks start with the offset rows built once per call
+    cases.append(((2, 1, 0), 3, 3 * 409 + 100, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
+    # E = 256, blocks of 128: the second round searches 7 carried rows and 32 new
+    # ones of about 115 live games, more cells than LANES
+    cases.append(((0,) * 7 + (1,), 2, 150, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
     return cases
 
 
