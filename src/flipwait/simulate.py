@@ -23,11 +23,12 @@ decays like e**-64).  A fixed 10**7 cap is overrun by coin runs of length
 22 and up, whose E is about 8.4 million.
 
 A run whose expected draws, trials * E(S), pass SIM_BUDGET is refused before
-the first draw.  The kernel's fastest measured rate is about 10**7 draws per
-second (about 100 ns per draw for few games with a large E on a 2-vCPU
-shared host; 150-300 ns for the benchmark's many short games), so a refused
-run would take more than a minute.  The largest runs of the tests, the
-README and the benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
+the first draw.  The kernel's fastest measured rate is about 1.2 * 10**7
+draws per second (80-110 ns per draw for a few games with a large E on a
+2-vCPU shared host; 130-260 ns for the benchmark's many short games), so a
+refused run would take 50 s at the fastest rate and one to three minutes at
+the benchmark's.  The largest runs of the tests, the README and the
+benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
 """
 
 from __future__ import annotations

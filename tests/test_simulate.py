@@ -197,7 +197,7 @@ def _identity_cases():
     # only the full blocks start with the offset rows built once per call
     cases.append(((2, 1, 0), 3, 3 * 409 + 100, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
     # E = 256, blocks of 128: the second round searches 7 carried rows and 32 new
-    # ones of about 115 live games, more cells than LANES
+    # ones of about 110 live games, more cells than LANES
     cases.append(((0,) * 7 + (1,), 2, 150, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
     return cases
 
