@@ -8,23 +8,25 @@ of one global sequence and be heavily correlated.  Symbols are the output
 modulo the alphabet size.  Per-trial streams make the result independent of
 trial scheduling, so any batching or threading produces the same totals.
 
-The same independence lets a block of trials draw together.  Each round
-draws `row` new symbols for every live trial into one Python int of W-bit
-lanes, laid out draw-major: lane j*live + t holds trial t's j-th new draw,
-so the int is the live trials' generator states repeated row times plus one
-offset row per draw, (j+1)*GAMMA in every lane of row j.  The finalizer runs
-on every lane at once with a handful of whole-int shifts, xors, masks and
-multiplies.  A block's first round repeats its start states in the int
-domain, by log2(row) shift-ors of their int; later rounds repeat the
-survivors' state bytes.  A lane holds a 64-bit value under W = 128 bits for a
-power-of-two alphabet up to 256, whose residue is the low byte, and
-W = 128 + 8w bits otherwise, w = ceil(bits(c-1)/8): the product of two 64-bit
-values never spills into the next lane, and a global right shift followed by
-a mask shifts every lane in place.  Otherwise the residue is
+The same independence lets a block of trials draw together.  Each round draws
+`row` new symbols for every live trial into one Python int of W-bit lanes,
+laid out draw-major: lane j*live + t holds trial t's j-th new draw, its
+generator state plus (j+1)*GAMMA.  One helper, `advance`, builds every such
+int, and each block's start ramp too: it doubles the rows it holds, one bit
+of the row count at a time, by adding a copy of them plus have*GAMMA in every
+lane above them, and masks every lane to 64 bits once at the end.  The
+finalizer runs on every lane at once with a handful of whole-int shifts,
+xors, masks and multiplies.  A lane holds a 64-bit value under W = 128 bits
+for a power-of-two alphabet up to 256, whose residue is the low byte, and
+W = 128 + 8w bits otherwise, w = ceil(bits(c-1)/8): the product of two
+64-bit values never spills into the next lane, and a global right shift
+followed by a mask shifts every lane in place.  Otherwise the residue is
 x - c*floor(x*m / 2**(64+l)) with l = bits(c-1) and m = floor(2**(64+l)/c) + 1,
 exact for every 64-bit x (Granlund & Montgomery, PLDI 1994, Thm 4.2), and it
-sits in the low w bytes of the lane.  The lane int's last row is every
-trial's state for the next round.
+sits in the low w bytes of the lane.  The lane int's last row, taken before
+the finalizer, is every trial's state for the next round: the states stay an
+int between rounds and become bytes only in a round that compacts its
+survivors.
 
 The search is whole-int too.  Byte b of every symbol forms a bytes object
 of rows, live cells each: the last s-1 rows of the previous round, carried
@@ -41,19 +43,18 @@ the survivors, whose states and carried rows are kept with
 error equal those of the one-draw-at-a-time loop, kept in the tests as the
 reference, bit for bit.
 
-What every block shares is built once per call: the lane masks, the offset
-rows of the shape every full block starts with, (row, block), and each
-nonzero symbol byte repeated over the largest search a round can make
+What every block shares is built once per call: the lane mask, GAMMA in
+every lane, which a right shift cuts to the rows a doubling step adds, and
+each nonzero symbol byte repeated over the largest search a round can make
 (most new cells plus s-1 carried rows of a block), which a right shift cuts
-to a round's cells; symbol byte 0 needs no xor.  Later rounds rebuild their
-offset rows whenever their shape changes.  Nothing outlives the call.
+to a round's cells; symbol byte 0 needs no xor.  Nothing outlives the call.
 """
 
 from itertools import compress, repeat
 from math import isqrt
 from operator import mul
 
-from flipwait.automaton import failure_links
+from flipwait.exact import expected_wait_conway
 from flipwait.pattern import Pattern
 
 MASK64 = (1 << 64) - 1
@@ -112,8 +113,6 @@ def run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
     return play(_word(flat, accept, nsym), trials, seed, first_trial, flip_cap)
 
 
-
-
 def play(p: Pattern, trials, seed, first_trial, flip_cap):
     """Play `trials` games waiting for p; returns (total_flips, total_sq, min_flips, max_flips).
 
@@ -121,12 +120,9 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     ValueError naming the first trial in order that would draw more than
     flip_cap symbols; no trial draws past flip_cap.
     """
-    word, fail = p.symbols, failure_links(p)
+    word = p.symbols
     s, c = len(p), p.alphabet_size
-    e, q = 0, s
-    while q:
-        e += c**q
-        q = fail[q]
+    e = expected_wait_conway(p)
     w = max(1, ((c - 1).bit_length() + 7) // 8)
     # byte b of every symbol of the word, one bytes object per b
     word_bytes = [bytes((x >> 8 * b) & 255 for x in word) for b in range(w)]
@@ -148,33 +144,29 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     # a round of `live` <= block trials draws live * row <= most lanes
     block = max(1, min(trials, LANES // row_for(LANES)))
     most = min(LANES, block * row_for(1))
-    # lane constants for this call; iota's lane k holds k, built by doubling
+    # lane constants for this call: the 64-bit mask and GAMMA in every lane
     bits = 8 * lane
-    ones = int.from_bytes((b"\x01" + bytes(lane - 1)) * most, "little")
     m64 = int.from_bytes((b"\xff" * 8 + bytes(lane - 8)) * most, "little")
-    iota, n = 0, 1
-    while n < most:
-        iota |= (iota + n * (ones & ((1 << bits * n) - 1))) << (bits * n)
-        n *= 2
-    ramp = iota * GAMMA
+    gammas = int.from_bytes((GAMMA.to_bytes(8, "little") + bytes(lane - 8)) * most, "little")
 
-    def lanes(base: int, n: int) -> int:
-        """n lanes holding (base + k*GAMMA) mod 2**64 for k = 0..n-1."""
-        lo = (1 << (bits * n)) - 1
-        return ((ramp & lo) + base * (ones & lo)) & m64
+    def advance(first: int, live: int, count: int) -> int:
+        """count rows of live lanes; row j holds first's lanes plus j*GAMMA, mod 2**64.
 
-    # steps[j] is one lane holding (j + 1)*GAMMA, up to the longest row a round can draw
-    longest = min(LANES, row_for(1), flip_cap)
-    sb = lanes(GAMMA, longest).to_bytes(lane * longest, "little")
-    steps = [sb[i:i + lane] for i in range(0, lane * longest, lane)]
+        One bit of count at a time, z doubles the `have` rows it holds by a
+        copy of them plus have*GAMMA, and an odd bit adds the row first plus
+        have*GAMMA.  Unmasked lanes stay below 2**64 * (LANES + 1), so no
+        lane carries into the next before the one mask at the end.
+        """
+        width = bits * live  # bits per row
+        z, have = first, 1
+        for bit in bin(count)[3:]:
+            z |= (z + have * (gammas >> (bits * most - width * have))) << (width * have)
+            have *= 2
+            if bit == "1":
+                z |= (first + have * (gammas >> (bits * most - width))) << (width * have)
+                have += 1
+        return z & m64
 
-    def offset_rows(row: int, live: int) -> int:
-        """row rows of live lanes; every lane of row j holds (j + 1)*GAMMA."""
-        return int.from_bytes(b"".join(map(bytes.__mul__, steps[:row], repeat(live))), "little")
-
-    # every full block starts with this shape, so its offset rows are built once
-    start_shape = (min(row_for(block), LANES // block, flip_cap), block)
-    start_offsets = offset_rows(*start_shape)
     # each nonzero symbol byte repeated over the largest search: live * row <= most
     # new cells plus s-1 carried rows of live <= block cells; cut to a round's cells by a shift
     size = most + (s - 1) * block
@@ -185,35 +177,21 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
     mx = 0
     for start in range(0, trials, block):
         n = min(block, trials - start)
-        z0 = _finalize(lanes((seed + (first_trial + start + 1) * GAMMA) & MASK64, n), m64)
+        # each live trial's generator state, one lane per trial
+        states = _finalize(advance((seed + (first_trial + start + 1) * GAMMA) & MASK64, 1, n), m64)
         ids = range(start, start + n)
         kept = [b""] * w  # each live trial's last min(s-1, drawn) symbols, row by row
         rows_kept = 0
         drawn = 0  # draws made by every live trial
-        shape = None
         while ids:
             if drawn >= flip_cap:
                 raise ValueError(f"flip cap {flip_cap} exceeded in trial {first_trial + ids[0]}")
             live = len(ids)
             row = min(row_for(live), LANES // live, flip_cap - drawn)
             # lane j*live + t holds trial t's state plus (j + 1)*GAMMA: its draw drawn + j + 1
-            if (row, live) != shape:
-                shape = (row, live)
-                offsets = start_offsets if shape == start_shape else offset_rows(row, live)
-            if drawn:
-                z = int.from_bytes(zb * row, "little")
-            else:
-                # the start states repeated row times, one bit of row at a time: z holds `have` rows
-                z, have = z0, 1
-                for bit in bin(row)[3:]:
-                    z |= z << (bits * live * have)
-                    have *= 2
-                    if bit == "1":
-                        z = z << (bits * live) | z0
-                        have += 1
-            z = (z + offsets) & m64
+            z = advance(states + (gammas >> (bits * (most - live))), live, row)
             # each live trial's state, its start plus drawn*GAMMA: the last row
-            zb = (z >> (bits * live * (row - 1))).to_bytes(lane * live, "little")
+            states = z >> (bits * live * (row - 1))
             z = _finalize(z, m64)
             if low_byte is None:
                 z -= ((z * magic >> shift) & m64) * c
@@ -265,7 +243,9 @@ def play(p: Pattern, trials, seed, first_trial, flip_cap):
             if hit:
                 alive = (hit >> ((starts_at - 1) * rb)).to_bytes(live, "little").translate(ZERO)
                 ids = list(compress(ids, alive))
+                zb = states.to_bytes(lane * live, "little")
                 zb = b"".join([zb[i:i + lane] for i in compress(range(0, lane * live, lane), alive)])
+                states = int.from_bytes(zb, "little")
                 kept = [bytes(compress(sym[cut:], alive * rows_kept)) for sym in syms]
             else:
                 kept = [sym[cut:] for sym in syms]

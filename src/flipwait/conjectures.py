@@ -221,7 +221,8 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
     return report
 
 
-def _summary(report: ScanReport) -> dict:
+def summary(report: ScanReport) -> dict:
+    """The report without its records, as `scan --json` prints it after its command key."""
     return {
         "schema": 1,
         "max_len": report.max_len,
@@ -236,7 +237,7 @@ def _summary(report: ScanReport) -> dict:
 def report_as_dict(report: ScanReport) -> dict:
     """JSON-ready form; exact integers are serialized as decimal strings."""
     return {
-        **_summary(report),
+        **summary(report),
         "records": [
             {
                 "pattern": r.pattern,
@@ -280,7 +281,7 @@ def write_json(report: ScanReport, path: str):
     record's fields fill `_RECORD` as its row comes out of `_rows`, and the
     exponent list is written once per distinct E.
     """
-    head = dumps({**_summary(report), "records": []})  # ends in '[]\n}'
+    head = dumps({**summary(report), "records": []})  # ends in '[]\n}'
     indent = "\n    "
     with open(path, "w") as fh:
         fh.write(head[:-3])

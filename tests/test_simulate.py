@@ -194,11 +194,16 @@ def _identity_cases():
             seed, first, at = rng.getrandbits(64), rng.getrandbits(32), rng.randrange(200, 400)
             cases.append((_draws(seed, first, at + s, c)[at:], c, 1, seed, first, FLIP_CAP))
     # three full blocks of 409 and a partial one on 17-byte lanes (c = 3, E = 27):
-    # only the full blocks start with the offset rows built once per call
+    # the partial block's start ramp is shorter than the full blocks'
     cases.append(((2, 1, 0), 3, 3 * 409 + 100, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
     # E = 256, blocks of 128: the second round searches 7 carried rows and 32 new
     # ones of about 110 live games, more cells than LANES
     cases.append(((0,) * 7 + (1,), 2, 150, rng.getrandbits(64), rng.getrandbits(64), FLIP_CAP))
+    # the widest rounds: a planted coin word of 17 symbols (E >= 2**17, so row_for(1) > LANES)
+    # ends the one game near draw 5000 under a cap of 8191, so its rounds draw 4096 rows
+    # (one bit set) and then 4095 (every bit set)
+    seed, first, at = rng.getrandbits(64), rng.getrandbits(64), rng.randrange(4900, 5100)
+    cases.append((_draws(seed, first, at + 17, 2)[at:], 2, 1, seed, first, 8191))
     return cases
 
 
