@@ -23,11 +23,11 @@ decays like e**-64).  A fixed 10**7 cap is overrun by coin runs of length
 22 and up, whose E is about 8.4 million.
 
 A run whose expected draws, trials * E(S), pass SIM_BUDGET is refused before
-the first draw.  The kernel's fastest measured rate is about 1.2 * 10**7
-draws per second (80-110 ns per draw for a few games with a large E on a
-2-vCPU shared host; 130-260 ns for the benchmark's many short games), so a
-refused run would take 50 s at the fastest rate and one to three minutes at
-the benchmark's.  The largest runs of the tests, the README and the
+the first draw.  The kernel's fastest measured rate is about 1.3 * 10**7
+draws per second (75-115 ns per draw for a few games with a large E on a
+2-vCPU shared host; 120-270 ns for the benchmark's many short games), so a
+refused run would take about 46 s at the fastest rate and one to three
+minutes at the benchmark's.  The largest runs of the tests, the README and the
 benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
 """
 
