@@ -54,6 +54,7 @@ from itertools import compress, repeat
 from math import isqrt
 from operator import mul
 
+from flipwait.automaton import build
 from flipwait.exact import expected_wait_conway
 from flipwait.pattern import Pattern
 
@@ -71,29 +72,19 @@ ZERO = b"\x01" + bytes(255)  # translate table: 1 for a zero byte, 0 for any oth
 def _word(flat, accept: int, nsym: int) -> Pattern:
     """The word S whose prefix automaton `flat` is.
 
-    S[q] is the one symbol taking state q to q+1.  Row 0 sends only S[0] to
-    1, row q >= 1 equals row f(q) except at S[q], and the accept row is
-    absorbing; anything else raises ValueError.
+    S[q] is the symbol taking state q to q+1, and `flat` must equal
+    automaton.build's table for S, row by row; anything else raises ValueError.
     """
     c, s = nsym, accept
     if s < 1 or c < 1 or len(flat) != (s + 1) * c:
         raise ValueError(f"table of {len(flat)} entries is not a prefix automaton "
                          f"with accept state {s} over {c} symbols")
-    word = []
-    fail = [0, 0]
-    for q in range(s):
-        row = list(flat[q * c:(q + 1) * c])
-        ref = [0] * c if q == 0 else list(flat[fail[q] * c:(fail[q] + 1) * c])
-        x = row.index(q + 1) if q + 1 in row else 0
-        ref[x] = q + 1
-        if row != ref:
+    rows = [tuple(flat[q * c:(q + 1) * c]) for q in range(s + 1)]
+    p = Pattern(tuple(row.index(q + 1) if q + 1 in row else 0 for q, row in enumerate(rows[:s])), c)
+    for q, (row, want) in enumerate(zip(rows, build(p).transitions)):
+        if row != want:
             raise ValueError(f"row {q} of the table is not a prefix-automaton row")
-        word.append(x)
-        if q:
-            fail.append(flat[fail[q] * c + x])
-    if list(flat[s * c:]) != [s] * c:
-        raise ValueError(f"accept row {s} of the table is not absorbing")
-    return Pattern(tuple(word), c)
+    return p
 
 
 def _finalize(z: int, m64: int) -> int:

@@ -37,13 +37,11 @@ Printing the counts costs more than computing them: CPython's int -> str is
 quadratic in the digit count.  `CountVector.decimal_strings` therefore keeps
 str(int) for counts of up to 1024 bits and, from the first larger count past
 n = s, reruns the same recurrence in `decimal` arithmetic seeded with the
-stored ints just before it (`Recurrence.strings`).  Its steps are grouped as
-in the int pass: an exact add or subtract per unit tap and an fma only for
-the other taps.  All
-of it is integer arithmetic, so at precision MAX_PREC nothing rounds and each
-decimal equals its int exactly; the Inexact and Rounded traps turn any
-rounding into an error, and the last decimal is checked against the last
-stored count.  Each string then costs time linear in its length.
+stored ints just before it (`Recurrence.strings`), through the same stepping
+loop as the int pass, on Decimals.  All of it is integer arithmetic, so at
+precision MAX_PREC nothing rounds and each decimal equals its int exactly;
+the Inexact and Rounded traps turn any rounding into an error, and the last
+decimal is checked against the last stored count.  Each string then costs time linear in its length.
 
 A string-scanning brute force over all c**n outcomes serves as the
 independent oracle at small n; the tests keep the full-length automaton DP

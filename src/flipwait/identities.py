@@ -5,7 +5,9 @@ partial sum here is taken over a mass sequence m_0..m_N, either a pattern's
 first-occurrence counts or a sequence family's aligned coefficients, and
 comes with the absorbed mass sum(m_n / c**n), which gives the certified
 bound on the neglected tail.  Both are returned as numerators over the
-common denominator c**N, by one of two routes with the same exact result.
+common denominator c**N.  One routine, `_recurrent_series`, takes the first
+masses and the recurrence they obey, for a pattern and for a family alike,
+and picks one of two routes with the same exact result.
 
 Horner pass (small N): all N+1 masses, each numerator multiplied by c once
 per term, sum(n * m_n * c**(N-n)) and sum(m_n * c**(N-n)).  That is O(N)
@@ -104,21 +106,27 @@ def _finish(weighted: int, absorbed: int, c: int, s: int, N: int) -> tuple[Fract
     return Fraction(weighted, scale), Fraction(scale - absorbed, scale) * (N + s * c**s)
 
 
-def _jump_series(head, rec: Recurrence, n0: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
-    """_series of masses[:N + 1] from head = masses[:n0 + d - 1] and their recurrence.
+def _recurrent_series(head, rec: Recurrence, n0: int, c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
+    """_series of masses[:N + 1] from the masses in `head` and their recurrence.
 
-    The masses obey `rec` for every n >= n0, with d = rec.max_lag <= n0 <= N + 1.
-    Q(1/c) != 0 for q = rec.denominator().
+    The masses obey `rec` for every n >= n0, with d = rec.max_lag <= n0.
+    Below N = _JUMP_PER_DEGREE * d, or at a root of Q = rec.denominator(),
+    `head` is extended to N + 1 masses for the Horner pass; otherwise the jump
+    reads head[:n0 + d - 1].
     """
     q = rec.denominator()
     d = len(q) - 1
+    qh, dqh = _horner(q, c)
+    if N < _JUMP_PER_DEGREE * d or not qh:
+        masses = list(head[:N + 1])
+        rec.extend(masses, N + 1)
+        return _series(masses, c, s, N)
     tail = rec.last_terms(head[n0 - d:n0 + d - 1], N - n0 + 1)
     # T_N from the last d masses, P = Q*G mod z**n0 from the first n0
     t = [sum(-q[i] * tail[d + j - i] for i in range(j + 1, d + 1)) for j in range(d)]
     p = [sum(q[i] * head[n - i] for i in range(min(n, d) + 1)) for n in range(n0)]
     th, dth = _horner(t, c)
     ph, dph = _horner(p, c)
-    qh, dqh = _horner(q, c)
     # c**(N+d) * G_N(1/c) and its x*d/dx; absorbed = c**N G_N, weighted = c**N x G_N'
     lift = c ** (N - n0 + d + 1)
     u = ph * lift - th
@@ -132,12 +140,10 @@ def _jump_series(head, rec: Recurrence, n0: int, c: int, s: int, N: int) -> tupl
 
 def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
     s = len(p)
-    if N < _JUMP_PER_DEGREE * s:
-        masses = list(count_first_occurrence(p, N).counts)
-        return _series(masses, p.alphabet_size, s, N)
-    # Q = D(z) of degree s, the recurrence holds from n = s + 1, and D(1/c) = c**-s
-    counts = count_first_occurrence(p, 2 * s - 1)
-    return _jump_series(counts.counts, counts.recurrence, s + 1, p.alphabet_size, s, N)
+    # Q = D(z) of degree s and the recurrence holds from n = s + 1: the jump
+    # needs the first 2s counts, the Horner pass all N + 1
+    counts = count_first_occurrence(p, N if N < _JUMP_PER_DEGREE * s else 2 * s - 1)
+    return _recurrent_series(counts.counts, counts.recurrence, s + 1, p.alphabet_size, s, N)
 
 
 def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
@@ -146,10 +152,11 @@ def _family_series(f: SeqFamily, N: int) -> tuple[Fraction, Fraction]:
     d = rec.max_lag
     # the recurrence holds past the seed at s, and reads only stored terms from d on
     n0 = max(s + 1, d)
-    # Q(1/2) is 2**-d for every family; at a root of Q the jump cannot divide
-    if N >= _JUMP_PER_DEGREE * d and _horner(rec.denominator(), 2)[0]:
-        return _jump_series(_aligned_coefficients(f, rec, n0 + d - 2), rec, n0, 2, s, N)
-    return _series(_aligned_coefficients(f, rec, N), 2, s, N)
+    # the seed sits at the family length, at least max lag zeros in, for every
+    # family; stepped in a list of its own: the family memo is never evicted
+    head = [0] * s + [1]
+    rec.extend(head, n0 + d - 1)
+    return _recurrent_series(head, rec, n0, 2, s, N)
 
 
 def _family_length(f: SeqFamily) -> int:
@@ -174,17 +181,6 @@ def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
     if isinstance(subject, Pattern):
         return _pattern_series(subject, N)[1]
     return _family_series(subject, N)[1]
-
-
-def _aligned_coefficients(f: SeqFamily, rec: Recurrence, N: int) -> list[int]:
-    """Series coefficients a_0..a_N with a_n = family value at n - shift.
-
-    Stepped in a list of its own: the family memo is never evicted.
-    """
-    # the seed sits at the family length, at least max lag zeros in, for every family
-    out = [0] * _family_length(f) + [1]
-    rec.extend(out, N + 1)
-    return out[:N + 1]
 
 
 @dataclass(frozen=True)

@@ -17,30 +17,32 @@ jump to terms far out (`last_terms`, after Fiduccia, SIAM J. Comput. 14,
 The taps are grouped once, when the recurrence is built (`tap_classes`): a
 step adds or subtracts the terms whose coefficient is +-1 and multiplies
 only the others.  It starts from its first term as it stands instead of
-adding that term to 0.
+adding that term to 0.  `extend` is the only stepping loop: `strings`
+reruns the recurrence in exact decimal arithmetic through it, on a window
+of Decimals, one block of values at a time.
 """
 
 from __future__ import annotations
 
 import decimal
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
 # CPython's int -> str is quadratic in the digit count, a decimal recurrence
 # step plus str(Decimal) is linear.  On a 2-vCPU shared Xeon host (CPython
-# 3.11.7, best of several timeit runs) str(int) takes 1.06 us at 768 bits,
-# 1.80 us at 1024 and 28.9 us at 4096.  A 2-tap decimal step plus str takes 1.11,
-# 2.01 and 4.09 us as an fma and a subtract (a coin word's c and -1 taps),
-# 0.99, 1.76 and 3.57 us as two adds, and 1.21, 2.26 and 4.75 us as the two
-# fma calls of an ungrouped step.  The two routes still break even between
-# 768 and 1024 bits; values of up to 1024 bits keep str(int), so short
-# vectors such as coin words at N = 400 never leave it.
+# 3.11.7, best of three runs of timeit's best of 9) str(int) takes 1.02 us at
+# 768 bits, 1.61 us at 1024 and 27.0 us at 4096.  Per value, `extend` on
+# Decimals under _EXACT plus str takes 0.98, 1.17 and 4.42 us for a coin
+# word's c and -1 taps (a multiply and a subtract), and 0.78, 0.97 and 3.40 us
+# for two +1 taps (two adds).  The routes break even near 768 bits; values of
+# up to 1024 bits keep str(int), so short vectors such as coin words at
+# N = 400 never leave it.
 _DECIMAL_BITS = 1024
 # Integer arithmetic at MAX_PREC never rounds; if it ever did, the Inexact and
-# Rounded traps raise instead of printing wrong digits.  The rerun calls this
-# context's methods and never installs it, so the caller's context is untouched.
+# Rounded traps raise instead of printing wrong digits.  The rerun installs a
+# copy of it only while `extend` steps a block and yields outside it, so the
+# caller's context is in force whenever the caller runs.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
@@ -48,6 +50,14 @@ _EXACT = decimal.Context(
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
            decimal.Inexact, decimal.Rounded],
 )
+# Values the decimal rerun steps per block.  A block bounds the Decimals held
+# at once and the values stepped past the first one over the digit limit,
+# whose str() raises; one `extend` over all values would step every value.
+# Draining the rerun of coin and die words' counts at N = 4000 takes within
+# 1% as long at 64 as at 256 (3-9% longer at 16).  In fresh `count` and `seq`
+# runs that reach the rerun, ru_maxrss was 0.35-0.75 MB above that of a
+# max_lag-value window at 256, and at most 0.5 MB above it at 64.
+_BLOCK = 64
 
 
 def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -56,10 +66,9 @@ def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int
     Returns the offsets -lag of the +1 taps, those of the -1 taps, and
     (-lag, coeff) for every other tap, so that a step adds the first class,
     subtracts the second and multiplies only the third.  An offset reads
-    history[n - lag] as history[n + offset], or as window[offset] in a window
-    that ends just before n.  The taps are only regrouped: every step still
-    sums all of them.  Callers test a bool per class before looping over it:
-    an empty class costs one test, not an empty loop.
+    history[n - lag] as history[n + offset].  The taps are only regrouped:
+    every step still sums all of them.  Callers test a bool per class before
+    looping over it: an empty class costs one test, not an empty loop.
     """
     plus = tuple([-lag for lag, coeff in taps if coeff == 1])
     minus = tuple([-lag for lag, coeff in taps if coeff == -1])
@@ -123,11 +132,12 @@ class Recurrence:
         stored[n] must obey the recurrence for every n >= start, and start
         must be at least max_lag.  Values of up to _DECIMAL_BITS bits go
         through str(int).  From the first index n0 >= start past that size,
-        the recurrence reruns in exact decimal arithmetic from
-        stored[n0 - max_lag : n0].  The stored ints stay the source of truth:
-        a string longer than sys.get_int_max_str_digits() allows is replaced
-        by str() of the stored int, which raises CPython's own error, and the
-        last rerun value must equal the last stored value.  With check_first,
+        `extend` reruns the recurrence in exact decimal arithmetic from
+        stored[n0 - max_lag : n0], _BLOCK values at a time.  The stored ints
+        stay the source of truth: a string longer than
+        sys.get_int_max_str_digits() allows is replaced by str() of the
+        stored int, which raises CPython's own error, and the last rerun value
+        must equal the last stored value.  With check_first,
         every stored int is tested against the limit once before anything is
         yielded, so a caller that prints all the strings or none fails before
         the decimal rerun, through str() of the first int past the limit.
@@ -147,29 +157,19 @@ class Recurrence:
             return
         max_lag = self.max_lag
         # converting an int to Decimal is exact in any context
-        window = deque((decimal.Decimal(v) for v in stored[n - max_lag:n]), max_lag)
-        (first, coeff0), plus, minus, scaled = self._plan
-        has_plus, has_minus, has_scaled = bool(plus), bool(minus), bool(scaled)
-        scaled = [(i, decimal.Decimal(coeff)) for i, coeff in scaled]
-        unit, coeff0 = coeff0 == 1, decimal.Decimal(coeff0)
-        add, subtract, multiply, fma = _EXACT.add, _EXACT.subtract, _EXACT.multiply, _EXACT.fma
-        for n in range(n, total):
-            v = window[first] if unit else multiply(coeff0, window[first])
-            if has_plus:
-                for i in plus:
-                    v = add(v, window[i])
-            if has_minus:
-                for i in minus:
-                    v = subtract(v, window[i])
-            if has_scaled:
-                for i, coeff in scaled:
-                    v = fma(coeff, window[i], v)
-            window.append(v)
-            text = str(v)
-            if limit and len(text) > limit:
-                text = str(stored[n])  # over the limit: CPython raises
-            yield text
-        if v != stored[-1]:
+        window = [decimal.Decimal(v) for v in stored[n - max_lag:n]]
+        while n < total:
+            del window[:-max_lag]
+            # a generator shares its caller's context: no yield inside this block
+            with decimal.localcontext(_EXACT):
+                self.extend(window, max_lag + min(_BLOCK, total - n))
+            for v in window[max_lag:]:
+                text = str(v)
+                if limit and len(text) > limit:
+                    text = str(stored[n])  # over the limit: CPython raises
+                yield text
+                n += 1
+        if window[-1] != stored[-1]:
             raise ArithmeticError(f"decimal rerun disagrees with the stored value at n = {total - 1}")
 
     def denominator(self) -> list[int]:

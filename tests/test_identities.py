@@ -15,6 +15,7 @@ from flipwait.identities import (
     verify_corollary,
 )
 from flipwait.pattern import enumerate_patterns, parse
+from flipwait.recurrence import Recurrence
 from flipwait.sequences import (
     _recurrence,
     alt_g,
@@ -283,6 +284,22 @@ def test_series_makes_one_count_call_on_each_side_of_the_crossover(monkeypatch):
         calls.clear()
         tail_bound(p, N)
         assert calls == [asked], N
+
+
+
+def test_series_jumps_from_the_cut_on_for_patterns_and_families(monkeypatch):
+    # the Horner pass runs below N = _JUMP_PER_DEGREE * d, the jump from there on
+    jumps = []
+    real = Recurrence.last_terms
+    monkeypatch.setattr(Recurrence, "last_terms", lambda rec, u, k: jumps.append(k) or real(rec, u, k))
+    p = parse("HTTH")
+    family, _ = corollary_family("id3", (2, 3))
+    subjects = ((p, len(p)), (family, _degree(family)))
+    for subject, d in subjects:
+        for N, jumped in ((_cut(d) - 1, False), (_cut(d), True), (10 * _cut(d), True)):
+            jumps.clear()
+            tail_bound(subject, N)
+            assert (len(jumps) == 1) == jumped, (subject, N)
 
 
 def test_family_sums_leave_the_family_memo_alone(monkeypatch):

@@ -1,8 +1,12 @@
+import decimal
 import random
 
 import pytest
 
-from flipwait.recurrence import _DECIMAL_BITS, Recurrence, tap_classes
+from flipwait.counting import count_first_occurrence
+from flipwait.pattern import parse
+from flipwait.recurrence import _BLOCK, _DECIMAL_BITS, Recurrence, tap_classes
+from flipwait.sequences import fib_order, value, value_strings
 
 
 def _times_one_minus_z(taps):
@@ -112,3 +116,25 @@ def test_last_terms_match_extend():
         rec.extend(u, 400)
         for k in (0, 1, d, 57, 399 - d):
             assert rec.last_terms(u[:2 * d - 1], k) == u[k:k + d], (taps, k)
+
+
+def test_strings_step_exactly_and_yield_in_the_callers_context():
+    # a 5-digit context that never traps: a rerun stepped in it would round,
+    # and a yield from inside the exact context would make 1/3 raise Inexact
+    fib = Recurrence(((1, 1), (2, 1)))
+    stored = [0, 1]
+    fib.extend(stored, 3000)
+    vec = count_first_occurrence(parse("HTTH"), 3000)
+    routes = (
+        (fib.strings(stored, 2), stored),
+        (vec.decimal_strings(), vec.counts),
+        (value_strings(fib_order(3), 3000), [value(fib_order(3), n) for n in range(3001)]),
+    )
+    for texts, ints in routes:
+        assert sum(v.bit_length() > _DECIMAL_BITS for v in ints) > 2 * _BLOCK
+        got = []
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])):
+            for text in texts:
+                assert decimal.Decimal(1) / 3 == decimal.Decimal("0.33333")
+                got.append(text)
+        assert got == [str(v) for v in ints]
