@@ -513,15 +513,15 @@ def test_count_still_stops_at_the_digit_limit(capsys):
     assert err.startswith("flipwait: error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
-
 @pytest.mark.parametrize("place", ["first", "last"])
 def test_text_count_stops_at_the_digit_limit_on_a_block_edge(capsys, int_digits, place):
     # the counts of "0" over 11 symbols are 10**(n-1): the count at n has n digits.
     # The rerun starts at the first count past _DECIMAL_BITS and steps _BLOCK
     # counts at a time; the first count over the limit sits on a block's first
-    # or last index
+    # or last index.  The lowest limit CPython accepts is 640 digits: take the
+    # first block that starts past it
     start = min(n for n in range(2, 2000) if (10 ** (n - 1)).bit_length() > recurrence._DECIMAL_BITS)
-    first = start + recurrence._BLOCK * -(-(641 - start) // recurrence._BLOCK)
+    first = next(n for n in range(start, 10**4, recurrence._BLOCK) if n > 640)
     over = first if place == "first" else first - 1
     int_digits(over - 1)
     try:

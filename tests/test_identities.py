@@ -286,7 +286,6 @@ def test_series_makes_one_count_call_on_each_side_of_the_crossover(monkeypatch):
         assert calls == [asked], N
 
 
-
 def test_series_jumps_from_the_cut_on_for_patterns_and_families(monkeypatch):
     # the Horner pass runs below N = _JUMP_PER_DEGREE * d, the jump from there on
     jumps = []
