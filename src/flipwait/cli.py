@@ -62,21 +62,24 @@ def _approx(x: "Fraction | int") -> str:
     return f"{float(Fraction(x)):.12g}"
 
 
-def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None):
-    """Print json.dumps(payload, indent=2), with `digits` under `key` as its last key if given.
+def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None, command=None):
+    """Print json.dumps({**head, **payload}, indent=2), head = {"schema": SCHEMA, "command": command}.
 
+    A payload key that the head holds keeps the head's place and takes the
+    payload's value.  `digits`, if given, goes under `key` as the last key.
     `jsontext.dumps` writes the payload.  Every string in `digits` must be
     str() of an int or of an integral Decimal: it holds only "-" and the
     digits 0-9, which JSON never escapes, so the array (megabytes for a long
     `count`) is joined into the output as is and passes through no encoder.
     The list must be nonempty and `key` must not be in `payload`.  The bytes
-    equal json.dumps({**payload, key: digits}, indent=2).
+    equal json.dumps({**head, **payload, key: digits}, indent=2).
     """
+    payload = {"schema": SCHEMA, "command": command, **payload}
     if key is None:
         print(dumps(payload))
         return
-    head = dumps({**payload, key: []})  # ends in '[]\n}'
-    print(head[:-3], '\n    "', '",\n    "'.join(digits), '"\n  ]\n}', sep="")
+    text = dumps({**payload, key: []})  # ends in '[]\n}'
+    print(text[:-3], '\n    "', '",\n    "'.join(digits), '"\n  ]\n}', sep="")
 
 
 def _cmd_expect(args) -> int:
@@ -98,13 +101,11 @@ def _cmd_expect(args) -> int:
 
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "expect",
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "results": {k: (None if v is None else _rat_str(v)) for k, v in results.items()},
             "agree": agree,
-        })
+        }, command=args.cmd)
     else:
         for k, v in results.items():
             if v is None:
@@ -125,12 +126,10 @@ def _cmd_count(args) -> int:
     vec = counting.count_first_occurrence(p, args.upto)
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "count",
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "upto": args.upto,
-        }, "counts", list(vec.decimal_strings(check_first=True)))
+        }, "counts", list(vec.decimal_strings(check_first=True)), args.cmd)
     else:
         print(f"first-occurrence counts for {p.text()}")
         for n, text in enumerate(vec.decimal_strings()):
@@ -143,11 +142,9 @@ def _cmd_seq(args) -> int:
     texts = sequences.value_strings(family, args.upto, check_first=args.json)
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "seq",
             "family": family.label(),
             "upto": args.upto,
-        }, "values", list(texts))
+        }, "values", list(texts), args.cmd)
     else:
         print(f"{family.label()} for n = 0..{args.upto}")
         for n, text in enumerate(texts):
@@ -156,17 +153,12 @@ def _cmd_seq(args) -> int:
 
 
 def _sum_params(args) -> tuple[int, ...]:
-    if args.corollary in ("id1", "id1bar"):
-        if args.k is None:
-            raise ValueError(f"{args.corollary} requires --k")
-        return (args.k,)
-    if args.corollary in ("id2", "id3"):
-        if args.k is None or args.m is None:
-            raise ValueError(f"{args.corollary} requires --k and --m")
-        return (args.k, args.m)
-    if args.s is None:
-        raise ValueError("alt requires --s")
-    return (args.s,)
+    """The corollary's parameters, from the flags named after its family's parameters."""
+    names = sequences.KINDS[sequences.COROLLARIES[args.corollary]].names
+    params = tuple(getattr(args, name) for name in names)
+    if None in params:
+        raise ValueError(f"{args.corollary} requires {' and '.join('--' + name for name in names)}")
+    return params
 
 
 def _cmd_sum(args) -> int:
@@ -175,8 +167,6 @@ def _cmd_sum(args) -> int:
     check = identities.verify_corollary(args.corollary, params, N)
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "sum",
             "corollary": check.which,
             "params": list(check.params),
             "N": check.N,
@@ -185,7 +175,7 @@ def _cmd_sum(args) -> int:
             "gap": _rat_str(check.gap),
             "tail_bound": _rat_str(check.bound),
             "certified": check.certified,
-        })
+        }, command=args.cmd)
     else:
         print(f"corollary {check.which}{check.params} truncated at N={check.N}")
         print(f"  partial    = {_rat_str(check.partial)}")
@@ -202,8 +192,6 @@ def _cmd_simulate(args) -> int:
     report = simulate.simulate_wait(p, args.trials, args.seed)
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "simulate",
             "pattern": report.pattern,
             "alphabet": p.alphabet_size,
             "trials": report.trials,
@@ -213,7 +201,7 @@ def _cmd_simulate(args) -> int:
             "min": report.min_flips,
             "max": report.max_flips,
             "total_flips": str(report.total_flips),
-        })
+        }, command=args.cmd)
     else:
         print(f"simulated {report.trials} games for {report.pattern} "
               f"(seed {report.seed}, {simulate.kernel_name()} kernel)")
@@ -230,7 +218,7 @@ def _cmd_scan(args) -> int:
     if args.csv:
         conjectures.write_csv(report, args.csv)
     if args.json:
-        _emit({"schema": SCHEMA, "command": "scan", **conjectures.summary(report)})
+        _emit(conjectures.summary(report), command=args.cmd)
     else:
         print(f"scanned {report.scanned} patterns up to length {report.max_len}")
         print(f"  note: {report.interpretation}")
@@ -254,8 +242,6 @@ def _cmd_inspect(args) -> int:
     comp = complement(p).text() if p.alphabet_size == 2 else None
     if args.json:
         _emit({
-            "schema": SCHEMA,
-            "command": "inspect",
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "length": len(p),
@@ -266,7 +252,7 @@ def _cmd_inspect(args) -> int:
             "correlation_set": corr,
             "expected_wait": _exact_str(e),
             "transitions": [list(row) for row in a.transitions],
-        })
+        }, command=args.cmd)
     else:
         def sym_text(sym: int) -> str:
             return "HT"[sym] if p.alphabet_size == 2 else str(sym)
@@ -305,14 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--upto", type=int, required=True, metavar="N")
     sp.set_defaults(func=_cmd_count)
 
-    sp = sub.add_parser("seq", help="evaluate a sequence family (fib:k, fib-bar:k, fib2:k,m, fib-tilde:k,m, alt:s)")
+    labels = ", ".join(f"{name}:{','.join(kind.names)}" for name, kind in sequences.KINDS.items())
+    sp = sub.add_parser("seq", help=f"evaluate a sequence family ({labels})")
     sp.add_argument("family")
     sp.add_argument("--upto", type=int, required=True, metavar="N")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_seq)
 
     sp = sub.add_parser("sum", help="verify a summation identity by exact partial sums")
-    sp.add_argument("corollary", choices=["id1", "id1bar", "id2", "id3", "alt"])
+    sp.add_argument("corollary", choices=list(sequences.COROLLARIES))
     sp.add_argument("--k", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--s", type=int)

@@ -58,7 +58,7 @@ from flipwait.automaton import failure_links, match
 from flipwait.exact import correlation_set
 from flipwait.pattern import Pattern, as_symbols
 from flipwait.recurrence import Recurrence
-from flipwait.sequences import SeqFamily, alt_g, fib_bar, fib_order, fib_tilde, fib_two_param, value
+from flipwait.sequences import SeqFamily, alt_g, fib_bar, fib_order, fib_tilde, fib_two_param, series_shift, value
 
 BRUTE_LIMIT = 1 << 24
 
@@ -216,23 +216,23 @@ def _run_pattern(lengths: tuple[int, ...]) -> Pattern:
     return Pattern(tuple(symbols), 2)
 
 
-def _expected_family(lengths: tuple[int, ...]) -> tuple[SeqFamily, int]:
-    """Family and index shift such that counts[n] = value(family, n - shift)."""
+def _expected_family(lengths: tuple[int, ...]) -> SeqFamily:
+    """Family such that counts[n] = value(family, n - series_shift(family))."""
     if len(lengths) == 1:
-        return fib_order(lengths[0]), 1
+        return fib_order(lengths[0])
     if len(lengths) == 2:
         k, l = lengths
-        return fib_bar(k + l - 1), 2
+        return fib_bar(k + l - 1)
     if len(lengths) == 3:
         k, l, m = lengths
         if m <= k:
-            return fib_two_param(k + l - 1, m), 2
-        return fib_two_param(l + m - 1, k), 2
+            return fib_two_param(k + l - 1, m)
+        return fib_two_param(l + m - 1, k)
     if len(lengths) == 4:
         k, l, m, d = lengths
         if m < k or d > l:
-            return fib_bar(k + l + m + d - 1), 2
-        return fib_tilde(l + m - 1, k + d - 1), 3
+            return fib_bar(k + l + m + d - 1)
+        return fib_tilde(l + m - 1, k + d - 1)
     raise ValueError("no sequence family for more than four runs")
 
 
@@ -246,8 +246,9 @@ def verify_count_families(max_params: int, N: int) -> CountFamilyReport:
     """
     report = CountFamilyReport()
 
-    def check(p: Pattern, family: SeqFamily, shift: int, tag: str):
+    def check(p: Pattern, family: SeqFamily, tag: str):
         counts = count_first_occurrence(p, N)
+        shift = series_shift(family)
         for n in range(N + 1):
             expected = value(family, n - shift)
             report.checks += 1
@@ -259,11 +260,10 @@ def verify_count_families(max_params: int, N: int) -> CountFamilyReport:
     for nruns in (1, 2, 3, 4):
         for lengths in product(range(1, max_params + 1), repeat=nruns):
             p = _run_pattern(lengths)
-            family, shift = _expected_family(lengths)
-            check(p, family, shift, f"runs{lengths}")
+            check(p, _expected_family(lengths), f"runs{lengths}")
 
     for s in range(1, 2 * max_params + 1):
         p = Pattern(tuple(i % 2 for i in range(s)), 2)
-        check(p, alt_g(s), 0, "alternating")
+        check(p, alt_g(s), "alternating")
 
     return report

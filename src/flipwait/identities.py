@@ -45,17 +45,7 @@ from flipwait.closed_form import wait_alternating
 from flipwait.counting import count_first_occurrence
 from flipwait.pattern import Pattern
 from flipwait.recurrence import Recurrence
-from flipwait.sequences import (
-    SeqFamily,
-    _recurrence,
-    alt_g,
-    base_index,
-    fib_bar,
-    fib_order,
-    fib_tilde,
-    fib_two_param,
-    series_shift,
-)
+from flipwait.sequences import COROLLARIES, KINDS, SeqFamily, _recurrence, base_index, check_least, series_shift
 
 CorollaryParams = tuple[int, ...]
 
@@ -201,7 +191,14 @@ class CorollaryCheck:
         return self.gap <= self.bound
 
 
-_COROLLARIES = ("id1", "id1bar", "id2", "id3", "alt")
+# the closed forms E(S) the paper gives for each identity's series
+_TARGETS = {
+    "id1": lambda k: 2 ** (k + 1) - 2,
+    "id1bar": lambda k: 2 ** (k + 1),
+    "id2": lambda k, m: 2 ** (k + m + 1) + 2 ** (m + 1) - 2,
+    "id3": lambda k, m: 2 ** (k + m + 2) + 2 ** (m + 1),
+    "alt": wait_alternating,
+}
 
 
 def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fraction]:
@@ -212,31 +209,14 @@ def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fr
     id2(k,m):  sum n*fib2:k,m(n-2)/2**n     = 2**(k+m+1) + 2**(m+1) - 2
     id3(k,m):  sum n*fib-tilde:k,m(n-3)/2**n = 2**(k+m+2) + 2**(m+1)
     alt(s):    sum n*alt:s(n)/2**n          = the alternating closed form
+
+    Every parameter of an identity is at least 1.
     """
-    if which == "id1":
-        (k,) = params
-        if k < 1:
-            raise ValueError(f"id1 needs k >= 1, got {k}")
-        return fib_order(k), Fraction(2 ** (k + 1) - 2)
-    if which == "id1bar":
-        (k,) = params
-        if k < 1:
-            raise ValueError(f"id1bar needs k >= 1, got {k}")
-        return fib_bar(k), Fraction(2 ** (k + 1))
-    if which == "id2":
-        k, m = params
-        if k < 1 or m < 1:
-            raise ValueError(f"id2 needs k, m >= 1, got {params}")
-        return fib_two_param(k, m), Fraction(2 ** (k + m + 1) + 2 ** (m + 1) - 2)
-    if which == "id3":
-        k, m = params
-        if k < 1 or m < 1:
-            raise ValueError(f"id3 needs k, m >= 1, got {params}")
-        return fib_tilde(k, m), Fraction(2 ** (k + m + 2) + 2 ** (m + 1))
-    if which == "alt":
-        (s,) = params
-        return alt_g(s), Fraction(wait_alternating(s))
-    raise ValueError(f"unknown corollary {which!r} (expected one of {', '.join(_COROLLARIES)})")
+    kind = COROLLARIES.get(which)
+    if kind is None:
+        raise ValueError(f"unknown corollary {which!r} (expected one of {', '.join(COROLLARIES)})")
+    check_least(which, KINDS[kind].names, params, 1)
+    return SeqFamily(kind, tuple(params)), Fraction(_TARGETS[which](*params))
 
 
 def default_truncation(which: str, params: CorollaryParams) -> int:

@@ -14,6 +14,14 @@ Families and their CLI labels:
   fib-tilde:k,m  seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + 2a(n-k-2) - a(n-k-m-2)
   alt:s        counts for the alternating pattern of length s; seed at n = s
 
+`KINDS` is the one place that holds the facts other modules need about a
+kind: its parameter names and their least value, where its seed sits, its
+series shift and the summation identity (corollary) it enters; the checks,
+`base_index`, `series_shift`, the corollaries, the CLI's flags and help
+and the count-family sweep all read it.  Each kind's recurrence is defined
+twice, on purpose: `_recurrence` and `gf_polynomials`, which tests compare
+as independent routes.
+
 `_recurrence` gives each family's recurrence as a `recurrence.Recurrence`,
 the core that also steps the first-occurrence counts: it extends the
 per-family memo and renders the values in time linear in their digits
@@ -25,12 +33,37 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from flipwait.recurrence import Recurrence
 
-_PARAM_NAMES = {"fib": ("k",), "fib-bar": ("k",), "fib2": ("k", "m"), "fib-tilde": ("k", "m"), "alt": ("s",)}
-_KINDS = tuple(_PARAM_NAMES)
+
+class Kind(NamedTuple):
+    """What a family kind takes and where it sits; `KINDS` holds one per kind."""
+
+    names: tuple[str, ...]  # parameter names, in label order
+    least: int  # least value of every parameter
+    seed: int  # base index less the sum of the parameters
+    shift: int  # series_shift: series index less family index
+    corollary: str  # id of the summation identity the family enters
+
+
+KINDS = {
+    "fib": Kind(("k",), 1, -1, 1, "id1"),
+    "fib-bar": Kind(("k",), 1, -1, 2, "id1bar"),
+    "fib2": Kind(("k", "m"), 0, -1, 2, "id2"),
+    "fib-tilde": Kind(("k", "m"), 0, -1, 3, "id3"),
+    "alt": Kind(("s",), 1, 0, 0, "alt"),
+}
+# corollary id -> family kind
+COROLLARIES = {kind.corollary: name for name, kind in KINDS.items()}
+
+
+def check_least(who: str, names: tuple[str, ...], params: tuple[int, ...], least: int):
+    """Raise ValueError, naming `who`, unless every parameter is at least `least`."""
+    if any(x < least for x in params):
+        got = params[0] if len(params) == 1 else tuple(params)
+        raise ValueError(f"{who} needs {', '.join(names)} >= {least}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -39,24 +72,13 @@ class SeqFamily:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        names = _PARAM_NAMES[self.kind]
-        if len(self.params) != len(names):
-            raise ValueError(f"{self.kind} needs {len(names)} parameter{'s' if len(names) > 1 else ''} "
-                             f"({','.join(names)}), got {len(self.params)}")
-        if self.kind in ("fib", "fib-bar"):
-            (k,) = self.params
-            if k < 1:
-                raise ValueError(f"{self.kind} needs k >= 1, got {k}")
-        elif self.kind in ("fib2", "fib-tilde"):
-            k, m = self.params
-            if k < 0 or m < 0:
-                raise ValueError(f"{self.kind} needs k, m >= 0, got {(k, m)}")
-        else:
-            (s,) = self.params
-            if s < 1:
-                raise ValueError(f"alt needs s >= 1, got {s}")
+        kind = KINDS[self.kind]
+        if len(self.params) != len(kind.names):
+            raise ValueError(f"{self.kind} needs {len(kind.names)} parameter{'s' if len(kind.names) > 1 else ''} "
+                             f"({','.join(kind.names)}), got {len(self.params)}")
+        check_least(self.kind, kind.names, self.params, kind.least)
 
     def label(self) -> str:
         return f"{self.kind}:{','.join(str(x) for x in self.params)}"
@@ -89,8 +111,8 @@ def parse_family(label: str) -> SeqFamily:
     """Parse a 'kind:p1,p2' label as printed by SeqFamily.label()."""
     kind, _, rest = label.partition(":")
     kind = kind.strip()
-    if kind not in _KINDS:
-        raise ValueError(f"unknown family kind {kind!r} (expected one of {', '.join(_KINDS)})")
+    if kind not in KINDS:
+        raise ValueError(f"unknown family kind {kind!r} (expected one of {', '.join(KINDS)})")
     try:
         params = tuple(int(x) for x in rest.split(",")) if rest.strip() else ()
     except ValueError:
@@ -104,11 +126,7 @@ def base_index(f: SeqFamily) -> int:
     For fib2/fib-tilde with k = m = 0 the seed sits at index -1, which keeps
     the reductions to plain Fibonacci numbers exact.
     """
-    if f.kind in ("fib", "fib-bar"):
-        return f.params[0] - 1
-    if f.kind in ("fib2", "fib-tilde"):
-        return f.params[0] + f.params[1] - 1
-    return f.params[0]
+    return sum(f.params) + KINDS[f.kind].seed
 
 
 def _recurrence(f: SeqFamily) -> Recurrence:
@@ -221,9 +239,7 @@ def fib_bar_variants(k: int, n: int) -> tuple[int, int]:
     index 0 through n.  Both must agree with value(fib_bar(k), n), which
     steps the two-term form.
     """
-    if k < 1:
-        raise ValueError(f"fib-bar needs k >= 1, got {k}")
-    base = k - 1
+    base = base_index(fib_bar(k))
     if n < base:
         return (0, 0)
     history = [0] * (k - 1) + [1]
@@ -240,7 +256,7 @@ def series_shift(f: SeqFamily) -> int:
     The coefficient of x**n in the family's generating function equals the
     family value at n - series_shift(f).
     """
-    return {"fib": 1, "fib-bar": 2, "fib2": 2, "fib-tilde": 3, "alt": 0}[f.kind]
+    return KINDS[f.kind].shift
 
 
 def gf_polynomials(f: SeqFamily) -> tuple[list[int], list[int]]:

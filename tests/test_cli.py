@@ -113,6 +113,10 @@ def test_count_and_seq_print_str_of_every_value(capsys, json_mode):
     ("fib2:1", "fib2 needs 2 parameters (k,m), got 1"),
     ("alt:", "alt needs 1 parameter (s), got 0"),
     ("fib:1,2", "fib needs 1 parameter (k), got 2"),
+    ("fib:-1", "fib needs k >= 1, got -1"),
+    ("fib-bar:0", "fib-bar needs k >= 1, got 0"),
+    ("fib2:-1,0", "fib2 needs k, m >= 0, got (-1, 0)"),
+    ("fib-tilde:0,-1", "fib-tilde needs k, m >= 0, got (0, -1)"),
 ])
 def test_seq_family_with_wrong_parameter_count(capsys, label, message):
     assert run_cli(capsys, "seq", label, "--upto", "3") == (1, "", f"flipwait: error: {message}\n")
@@ -137,6 +141,8 @@ def test_sum_requires_params(capsys):
     code, _, err = run_cli(capsys, "sum", "id2", "--k", "2")
     assert code == 1
     assert "requires" in err
+    code, out, _ = _outcome(capsys, ["sum", "--help"])
+    assert code == ("SystemExit", 0) and "\n  {id1,id1bar,id2,id3,alt}\n" in out
 
 
 @pytest.mark.parametrize("params, message", [
@@ -145,6 +151,10 @@ def test_sum_requires_params(capsys):
     (("id2", "--k", "0", "--m", "0"), "id2 needs k, m >= 1, got (0, 0)"),
     (("id3", "--k", "0", "--m", "0"), "id3 needs k, m >= 1, got (0, 0)"),
     (("alt", "--s", "0"), "alt needs s >= 1, got 0"),
+    (("id1bar",), "id1bar requires --k"),
+    (("id2", "--k", "2"), "id2 requires --k and --m"),
+    (("id3", "--m", "1"), "id3 requires --k and --m"),
+    (("alt",), "alt requires --s"),
 ])
 def test_sum_errors_name_the_corollary(capsys, params, message):
     assert run_cli(capsys, "sum", *params) == (1, "", f"flipwait: error: {message}\n")
@@ -388,6 +398,9 @@ def test_reused_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
         ("SystemExit", 1), 0, ("SystemExit", 0), ("SystemExit", 0), 0, 1]
     assert fresh[0][2].endswith("flipwait expect: error: the following arguments are required: pattern\n")
     assert fresh[5] == (1, "", "flipwait: error: id1 requires --k\n")
+    # argparse wraps the help to the terminal's width, at spaces and hyphens
+    seq_help = "seq evaluate a sequence family (fib:k, fib-bar:k, fib2:k,m, fib-tilde:k,m, alt:s)"
+    assert "".join(seq_help.split()) in "".join(fresh[2][1].split())
 
 
 def _top_level_outcome(capsys, argv):
@@ -534,7 +547,7 @@ def test_text_count_stops_at_the_digit_limit_on_a_block_edge(capsys, int_digits,
 
 
 class _NoRerun:
-    """Stands in for the decimal context: any decimal rerun fails the test."""
+    """Stands in for the decimal module in `recurrence`: any decimal rerun fails the test."""
 
     def __getattr__(self, name):
         raise AssertionError(f"the decimal rerun ran ({name})")
@@ -547,7 +560,7 @@ def test_json_count_and_seq_fail_before_the_decimal_rerun(capsys, int_digits, mo
     assert code == 0 and err == "" and json.loads(out)["counts"][-1] == "1" + "0" * 699
     text = run_cli(capsys, "count", "0", "--alphabet", "11", "--upto", "701")
     assert text[0] == 1 and text[1].count("\n") == 702  # the header and n = 0..700
-    monkeypatch.setattr(recurrence, "_EXACT", _NoRerun())
+    monkeypatch.setattr(recurrence, "decimal", _NoRerun())
     assert run_cli(capsys, "count", "0", "--alphabet", "11", "--upto", "701", "--json") == (1, "", text[2])
     assert text[2].startswith("flipwait: error: Exceeds the limit (700 digits) for integer string conversion")
     code, out, err = run_cli(capsys, "seq", "fib:3", "--upto", "3000", "--json")

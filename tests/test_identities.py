@@ -144,6 +144,9 @@ def test_corollary_parameter_validation():
         verify_corollary("id2", (0, 1), 100)
     with pytest.raises(ValueError):
         verify_corollary("nope", (1,), 100)
+    with pytest.raises(ValueError) as exc:
+        corollary_family("id4", (1,))
+    assert str(exc.value) == "unknown corollary 'id4' (expected one of id1, id1bar, id2, id3, alt)"
 
 
 def test_id1_with_unit_k_is_geometric_sum():
