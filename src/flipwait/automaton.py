@@ -11,15 +11,15 @@ given stream along it with `match`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from flipwait._record import Frozen
 from flipwait.pattern import Pattern
 
 
-@dataclass(frozen=True)
-class PrefixAutomaton:
-    pattern: Pattern
-    transitions: tuple[tuple[int, ...], ...]
+class PrefixAutomaton(Frozen):
+    _fields = ("pattern", "transitions")
+
+    def __init__(self, pattern: Pattern, transitions: tuple[tuple[int, ...], ...]):
+        vars(self).update(pattern=pattern, transitions=transitions)
 
     @property
     def accept_state(self) -> int:

@@ -13,6 +13,14 @@ payloads test every value against Python's int->str digit limit before any
 decimal work, so one that cannot be printed fails at once with CPython's
 own error.
 
+Importing this module loads what `expect` and `inspect` run (`pattern`,
+`automaton`, `exact`, `closed_form`, `jsontext` and `fractions`) and
+nothing else.  Every other command imports its own modules when it runs,
+and `build_parser` imports argparse and `sequences`, whose family table
+the `seq` help and the `sum` flags read.  A command reads each function
+as an attribute of its module at the call, so a function swapped on its
+module is the one called.
+
 The argument parser is built on the first `main` call and reused by every
 later call in the same process, so an in-process caller pays for building
 it once; importing this module builds nothing.  When the first argument
@@ -25,11 +33,10 @@ is argparse's own.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 
-from flipwait import automaton, conjectures, counting, exact, identities, sequences, simulate
+from flipwait import automaton, exact
 from flipwait.closed_form import dispatch
 from flipwait.exact import exact_str as _exact_str
 from flipwait.jsontext import dumps
@@ -43,15 +50,6 @@ from flipwait.pattern import (
 )
 
 SCHEMA = 1
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to 1 per the CLI contract."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _rat_str(x: "Fraction | int") -> str:
@@ -122,6 +120,8 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from flipwait import counting
+
     p = parse(args.pattern, args.alphabet)
     vec = counting.count_first_occurrence(p, args.upto)
     if args.json:
@@ -138,6 +138,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    from flipwait import sequences
+
     family = sequences.parse_family(args.family)
     texts = sequences.value_strings(family, args.upto, check_first=args.json)
     if args.json:
@@ -154,6 +156,8 @@ def _cmd_seq(args) -> int:
 
 def _sum_params(args) -> tuple[int, ...]:
     """The corollary's parameters, from the flags named after its family's parameters."""
+    from flipwait import sequences
+
     names = sequences.KINDS[sequences.COROLLARIES[args.corollary]].names
     params = tuple(getattr(args, name) for name in names)
     if None in params:
@@ -162,6 +166,8 @@ def _sum_params(args) -> tuple[int, ...]:
 
 
 def _cmd_sum(args) -> int:
+    from flipwait import identities
+
     params = _sum_params(args)
     N = args.N if args.N is not None else identities.default_truncation(args.corollary, params)
     check = identities.verify_corollary(args.corollary, params, N)
@@ -188,6 +194,8 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from flipwait import simulate
+
     p = parse(args.pattern, args.alphabet)
     report = simulate.simulate_wait(p, args.trials, args.seed)
     if args.json:
@@ -212,6 +220,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from flipwait import conjectures
+
     report = conjectures.scan(args.max_len)
     if args.out:
         conjectures.write_json(report, args.out)
@@ -270,8 +280,20 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; its `commands` maps each command name to the command's subparser."""
+def build_parser():
+    """The top-level argparse parser; its `commands` maps each command name to the command's subparser."""
+    import argparse
+
+    from flipwait import sequences
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; remap to 1 per the CLI contract."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(prog="flipwait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     parser.commands = sub.choices

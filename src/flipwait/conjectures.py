@@ -18,14 +18,13 @@ the per-pattern `PatternRecord`s are built from them only when read.
 
 from __future__ import annotations
 
-import csv
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
+from flipwait._record import Record
 from flipwait.exact import expected_wait_conway, expected_wait_markov
 from flipwait.jsontext import dumps
 from flipwait.pattern import Pattern, parse, reverse, runs
@@ -80,16 +79,21 @@ class PatternRecord(NamedTuple):
     excess_exponents: tuple[int, ...] | None
 
 
-@dataclass
-class ScanReport:
-    max_len: int
-    interpretation: str = INTERPRETATION
-    violations: list[str] = field(default_factory=list)
-    spot_checks: int = 0
-    # per length s = 1.., (E of each word, index of its reversal), words in lexicographic order
-    columns: list[tuple[array, array]] = field(default_factory=list, repr=False)
-    histogram: dict[int, int] = field(default_factory=dict)
-    _records: list[PatternRecord] | None = field(default=None, init=False, repr=False, compare=False)
+class ScanReport(Record):
+    _fields = ("max_len", "interpretation", "violations", "spot_checks", "columns", "histogram")
+    _hidden = ("columns",)
+
+    def __init__(self, max_len: int, interpretation: str = INTERPRETATION, violations: list[str] | None = None,
+                 spot_checks: int = 0, columns: list[tuple[array, array]] | None = None,
+                 histogram: dict[int, int] | None = None):
+        self.max_len = max_len
+        self.interpretation = interpretation
+        self.violations = [] if violations is None else violations
+        self.spot_checks = spot_checks
+        # per length s = 1.., (E of each word, index of its reversal), words in lexicographic order
+        self.columns = [] if columns is None else columns
+        self.histogram = {} if histogram is None else histogram
+        self._records = None  # the PatternRecords, built on first read; neither compared nor shown
 
     @property
     def scanned(self) -> int:
@@ -296,6 +300,8 @@ def write_json(report: ScanReport, path: str):
 
 def write_csv(report: ScanReport, path: str):
     """One row per word, streamed length by length from the columns; `report.records` is not built."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PatternRecord._fields)

@@ -50,10 +50,10 @@ as a second reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
+from flipwait._record import Frozen, Record
 from flipwait.automaton import failure_links, match
 from flipwait.exact import correlation_set
 from flipwait.pattern import Pattern, as_symbols
@@ -63,14 +63,14 @@ from flipwait.sequences import SeqFamily, alt_g, fib_bar, fib_order, fib_tilde, 
 BRUTE_LIMIT = 1 << 24
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(Frozen):
     """counts[n] = number of length-n strings with the pattern only at the end."""
 
-    pattern: Pattern
-    counts: tuple[int, ...]
-    # the recurrence the counts obey from n = s + 1 on; None: derive it again
-    recurrence: Recurrence | None = field(default=None, compare=False, repr=False)
+    _fields = ("pattern", "counts")
+
+    def __init__(self, pattern: Pattern, counts: tuple[int, ...], recurrence: Recurrence | None = None):
+        # recurrence: the one the counts obey from n = s + 1 on, neither compared nor shown; None: derive it again
+        vars(self).update(pattern=pattern, counts=counts, recurrence=recurrence)
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -190,19 +190,19 @@ def conditional_count(p: Pattern, given, n: int) -> int:
     return conditional_count_vector(p, symbols, n)[n]
 
 
-@dataclass(frozen=True)
-class CountFamilyMismatch:
-    pattern: str
-    family: str
-    n: int
-    dp_count: int
-    sequence_value: int
+class CountFamilyMismatch(Frozen):
+    _fields = ("pattern", "family", "n", "dp_count", "sequence_value")
+
+    def __init__(self, pattern: str, family: str, n: int, dp_count: int, sequence_value: int):
+        vars(self).update(pattern=pattern, family=family, n=n, dp_count=dp_count, sequence_value=sequence_value)
 
 
-@dataclass
-class CountFamilyReport:
-    checks: int = 0
-    mismatches: list[CountFamilyMismatch] = field(default_factory=list)
+class CountFamilyReport(Record):
+    _fields = ("checks", "mismatches")
+
+    def __init__(self, checks: int = 0, mismatches: list[CountFamilyMismatch] | None = None):
+        self.checks = checks
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

@@ -38,9 +38,9 @@ exactly (N+2)/2**N, the true tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from flipwait._record import Frozen
 from flipwait.closed_form import wait_alternating
 from flipwait.counting import count_first_occurrence
 from flipwait.pattern import Pattern
@@ -173,17 +173,14 @@ def tail_bound(subject: "Pattern | SeqFamily", N: int) -> Fraction:
     return _family_series(subject, N)[1]
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(Frozen):
     """One verified summation identity at truncation N."""
 
-    which: str
-    params: CorollaryParams
-    N: int
-    partial: Fraction
-    target: Fraction
-    gap: Fraction
-    bound: Fraction
+    _fields = ("which", "params", "N", "partial", "target", "gap", "bound")
+
+    def __init__(self, which: str, params: CorollaryParams, N: int, partial: Fraction, target: Fraction,
+                 gap: Fraction, bound: Fraction):
+        vars(self).update(which=which, params=params, N=N, partial=partial, target=target, gap=gap, bound=bound)
 
     @property
     def certified(self) -> bool:

@@ -1,18 +1,20 @@
-"""JSON text with the bytes of json.dumps(x, indent=2), without its pure-Python indent encoder.
+"""JSON text with the bytes of json.dumps(x, indent=2), without the json package.
 
 With `indent` set, CPython's json module formats in Python, one generator
 step per value and one escape pass per string.  `dumps` formats the
 payloads this package prints one value at a time: strings and keys through
-the C escape function json.dumps itself calls, a list of plain ints in one
-join.
+the C escape function json.dumps itself calls, taken from `_json` as
+`json.encoder` takes it, a list of plain ints in one join.  Importing the
+json package would cost more than this module does.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
+# json.dumps's spellings of the constants and of the floats that are not numbers
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_INFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 def dumps(x, indent: str = "\n") -> str:
@@ -28,7 +30,7 @@ def dumps(x, indent: str = "\n") -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, float):
-        return json.dumps(x)
+        return "NaN" if x != x else _INFINITE.get(x) or float.__repr__(x)
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:

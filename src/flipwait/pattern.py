@@ -7,9 +7,10 @@ at the parse/render boundary so that coin and die share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
+
+from flipwait._record import Frozen
 
 HEADS = 0
 TAILS = 1
@@ -21,23 +22,20 @@ class PatternError(ValueError):
     """Unparseable text or out-of-range symbols."""
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Frozen):
     """An ending string: a nonempty word over an alphabet of size >= 2."""
 
-    symbols: tuple[int, ...]
-    alphabet_size: int = 2
+    _fields = ("symbols", "alphabet_size")
 
-    def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise PatternError(f"alphabet size must be at least 2, got {self.alphabet_size}")
-        if not self.symbols:
+    def __init__(self, symbols: tuple[int, ...], alphabet_size: int = 2):
+        if alphabet_size < 2:
+            raise PatternError(f"alphabet size must be at least 2, got {alphabet_size}")
+        if not symbols:
             raise PatternError("pattern must be nonempty")
-        for sym in self.symbols:
-            if not 0 <= sym < self.alphabet_size:
-                raise PatternError(
-                    f"symbol {sym} out of range for alphabet of size {self.alphabet_size}"
-                )
+        for sym in symbols:
+            if not 0 <= sym < alphabet_size:
+                raise PatternError(f"symbol {sym} out of range for alphabet of size {alphabet_size}")
+        vars(self).update(symbols=symbols, alphabet_size=alphabet_size)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -52,11 +50,13 @@ class Pattern:
         return self.text()
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(Frozen):
     """Maximal-run factorization: (symbol, length) pairs, adjacent symbols distinct."""
 
-    runs: tuple[tuple[int, int], ...]
+    _fields = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        vars(self).update(runs=runs)
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import decimal
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator
+
+from flipwait._record import Frozen
 
 # CPython's int -> str is quadratic in the digit count, a decimal recurrence
 # step plus str(Decimal) is linear.  On a 2-vCPU shared Xeon host (CPython
@@ -76,26 +77,24 @@ def tap_classes(taps) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int
     return plus, minus, scaled
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Frozen):
     """u_n = sum(coeff * u_(n - lag) for lag, coeff in taps); at least one tap, lags >= 1."""
 
-    taps: tuple[tuple[int, int], ...]
-    # a step's first term as (offset, coeff), then tap_classes of the other taps
-    _plan: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("taps",)
 
-    def __post_init__(self):
+    def __init__(self, taps: tuple[tuple[int, int], ...]):
         # The first term is a +1 tap read as it stands, else the tap with the
         # largest coefficient.  Without a positive tap a step starts from 0
         # times the most negative tap's term, which that tap then adds in
         # full, so a sum of zeros stays +0 in the decimal rerun.
-        lag, coeff = max(self.taps, key=lambda tap: (tap[1] == 1, tap[1]))
-        rest = list(self.taps)
+        lag, coeff = max(taps, key=lambda tap: (tap[1] == 1, tap[1]))
+        rest = list(taps)
         if coeff > 0:
             rest.remove((lag, coeff))
         else:
-            lag, coeff = min(self.taps, key=lambda tap: tap[1])[0], 0
-        object.__setattr__(self, "_plan", ((-lag, coeff), *tap_classes(rest)))
+            lag, coeff = min(taps, key=lambda tap: tap[1])[0], 0
+        # _plan: a step's first term as (offset, coeff), then tap_classes of the other taps
+        vars(self).update(taps=taps, _plan=((-lag, coeff), *tap_classes(rest)))
 
     @property
     def max_lag(self) -> int:

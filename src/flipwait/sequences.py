@@ -31,10 +31,10 @@ per-family memo and renders the values in time linear in their digits
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, NamedTuple
 
+from flipwait._record import Frozen
 from flipwait.recurrence import Recurrence
 
 
@@ -66,19 +66,18 @@ def check_least(who: str, names: tuple[str, ...], params: tuple[int, ...], least
         raise ValueError(f"{who} needs {', '.join(names)} >= {least}, got {got}")
 
 
-@dataclass(frozen=True)
-class SeqFamily:
-    kind: str
-    params: tuple[int, ...]
+class SeqFamily(Frozen):
+    _fields = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        kind = KINDS[self.kind]
-        if len(self.params) != len(kind.names):
-            raise ValueError(f"{self.kind} needs {len(kind.names)} parameter{'s' if len(kind.names) > 1 else ''} "
-                             f"({','.join(kind.names)}), got {len(self.params)}")
-        check_least(self.kind, kind.names, self.params, kind.least)
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        if kind not in KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        names = KINDS[kind].names
+        if len(params) != len(names):
+            raise ValueError(f"{kind} needs {len(names)} parameter{'s' if len(names) > 1 else ''} "
+                             f"({','.join(names)}), got {len(params)}")
+        check_least(kind, names, params, KINDS[kind].least)
+        vars(self).update(kind=kind, params=params)
 
     def label(self) -> str:
         return f"{self.kind}:{','.join(str(x) for x in self.params)}"

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -326,6 +327,29 @@ def test_expect_all_disagreement_exits_2(capsys, monkeypatch):
     assert code == 2
     assert payload["agree"] is False
     assert "disagreement" in err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("counting", "count_first_occurrence", ["count", "HT", "--upto", "5"]),
+    ("identities", "verify_corollary", ["sum", "id1", "--k", "2", "--N", "20"]),
+    ("conjectures", "scan", ["scan", "--max-len", "3"]),
+    ("simulate", "simulate_wait", ["simulate", "--pattern", "HT", "--trials", "10", "--seed", "1"]),
+    ("sequences", "value_strings", ["seq", "fib:2", "--upto", "5"]),
+])
+def test_commands_call_the_function_bound_on_its_module(capsys, monkeypatch, module, name, argv):
+    # perfbench's tracer swaps module attributes: a command must look its function up there at each
+    # call, so one that ran before the swap calls the swapped function too
+    assert run_cli(capsys, *argv)[0] == 0
+    mod = importlib.import_module(f"flipwait.{module}")
+    real, calls = getattr(mod, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out and len(calls) == 1
 
 
 def _outcome(capsys, argv):

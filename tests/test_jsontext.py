@@ -27,6 +27,12 @@ def test_dumps_is_json_dumps_indent_2(x):
     assert dumps(x) == json.dumps(x, indent=2)
 
 
+@pytest.mark.parametrize("x", [-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1])
+def test_dumps_writes_floats_as_json_dumps(x):
+    assert dumps(x) == json.dumps(x, indent=2)
+    assert dumps([x, {"x": x}]) == json.dumps([x, {"x": x}], indent=2)
+
+
 @pytest.mark.parametrize("x", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}], (1, 2), {"a": {1}}, b"a"])
 def test_dumps_refuses_non_str_keys_and_other_types(x):
     with pytest.raises(TypeError):
