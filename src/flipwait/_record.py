@@ -8,6 +8,8 @@ instances of the same class with equal fields, never to a tuple.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Equal by class and fields, shown by its fields; unhashable, like a dataclass with eq=True."""
@@ -15,12 +17,15 @@ class Record:
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()  # fields compared but left out of repr
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:  # Frozen has none
+            # built once per class; for a single field the key is its value, not a 1-tuple
+            cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -35,7 +40,7 @@ class Frozen(Record):
     """
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

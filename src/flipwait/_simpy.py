@@ -81,7 +81,7 @@ def _word(flat, accept: int, nsym: int) -> Pattern:
                          f"with accept state {s} over {c} symbols")
     rows = [tuple(flat[q * c:(q + 1) * c]) for q in range(s + 1)]
     p = Pattern(tuple(row.index(q + 1) if q + 1 in row else 0 for q, row in enumerate(rows[:s])), c)
-    for q, (row, want) in enumerate(zip(rows, build(p).transitions)):
+    for q, (row, want) in enumerate(zip(rows, build(p))):
         if row != want:
             raise ValueError(f"row {q} of the table is not a prefix-automaton row")
     return p

@@ -2,32 +2,17 @@
 
 State q in {0..s} means: the longest suffix of the consumed stream that is a
 proper prefix of the pattern has length q.  State s is an absorbing accept
-state, because the game ends at the first occurrence.  Only `inspect`,
-which prints it, uses this table.  The chain solve, the correlation sets,
-the counts, the conditional waits and the simulator need only
-`failure_links`, the O(s) border chain the table is built from, and walk a
-given stream along it with `match`.
+state, because the game ends at the first occurrence.  Two callers build
+the table: `inspect`, which prints it, and `_simpy._word`, which rebuilds
+it to check the table `run_batch` is given.  The chain solve, the
+correlation sets, the counts, the conditional waits and the simulator's
+games need only `failure_links`, the O(s) border chain the table is built
+from, and walk a given stream along it with `match`.
 """
 
 from __future__ import annotations
 
-from flipwait._record import Frozen
 from flipwait.pattern import Pattern
-
-
-class PrefixAutomaton(Frozen):
-    _fields = ("pattern", "transitions")
-
-    def __init__(self, pattern: Pattern, transitions: tuple[tuple[int, ...], ...]):
-        vars(self).update(pattern=pattern, transitions=transitions)
-
-    @property
-    def accept_state(self) -> int:
-        return len(self.pattern)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.pattern.alphabet_size
 
 
 def failure_links(p: Pattern) -> list[int]:
@@ -70,8 +55,11 @@ def match(p: Pattern, fail: list[int], symbols) -> tuple[int, int]:
     return q, len(symbols)
 
 
-def build(p: Pattern) -> PrefixAutomaton:
-    """Construct the transition table in O(s*c) from the failure links."""
+def build(p: Pattern) -> tuple[tuple[int, ...], ...]:
+    """The transition table, built in O(s*c) from the failure links.
+
+    Row q, one entry per symbol, is state q; the last row, s, is the accept state.
+    """
     s = len(p)
     c = p.alphabet_size
     sym = p.symbols
@@ -88,21 +76,21 @@ def build(p: Pattern) -> PrefixAutomaton:
         table.append(tuple(row))
 
     table.append(tuple([s] * c))
-    return PrefixAutomaton(p, tuple(table))
+    return tuple(table)
 
 
-def dump(a: PrefixAutomaton) -> str:
-    """Aligned text rendering of the transition table; the accept row is starred."""
-    c = a.alphabet_size
+def dump(table: tuple[tuple[int, ...], ...]) -> str:
+    """Aligned text rendering of a `build` table; the accept row, the last, is starred."""
+    c, accept = len(table[0]), len(table) - 1
     if c == 2:
         headers = ["H", "T"]
     else:
         headers = [str(i) for i in range(c)]
-    width = max(5, len(str(a.accept_state)) + 1)
+    width = max(5, len(str(accept)) + 1)
     cell = max(2, *(len(h) for h in headers))
     lines = ["state |" + "".join(f" {h:>{cell}}" for h in headers)]
     lines.append("-" * len(lines[0]))
-    for q, row in enumerate(a.transitions):
-        label = f"*{q}" if q == a.accept_state else str(q)
+    for q, row in enumerate(table):
+        label = f"*{q}" if q == accept else str(q)
         lines.append(f"{label:>{width}} |" + "".join(f" {t:>{cell}}" for t in row))
     return "\n".join(lines)

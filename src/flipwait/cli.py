@@ -245,8 +245,6 @@ def _cmd_scan(args) -> int:
 
 def _cmd_inspect(args) -> int:
     p = parse(args.pattern, args.alphabet)
-    a = automaton.build(p)
-    decomposition = runs(p)
     corr = sorted(exact.correlation_set(p))
     e = exact.expected_wait_conway(p)
     comp = complement(p).text() if p.alphabet_size == 2 else None
@@ -255,20 +253,20 @@ def _cmd_inspect(args) -> int:
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
             "length": len(p),
-            "runs": [[sym, length] for sym, length in decomposition.runs],
+            "runs": [list(run) for run in runs(p)],
             "reversal": reverse(p).text(),
             "complement": comp,
             "alternating": is_alternating(p),
             "correlation_set": corr,
             "expected_wait": _exact_str(e),
-            "transitions": [list(row) for row in a.transitions],
+            "transitions": [list(row) for row in automaton.build(p)],
         }, command=args.cmd)
     else:
         def sym_text(sym: int) -> str:
             return "HT"[sym] if p.alphabet_size == 2 else str(sym)
 
         print(f"pattern        {p.text()}  (alphabet {p.alphabet_size}, length {len(p)})")
-        print(f"runs           {' '.join(f'({sym_text(sym)},{length})' for sym, length in decomposition.runs)}")
+        print(f"runs           {' '.join(f'({sym_text(sym)},{length})' for sym, length in runs(p))}")
         print(f"reversal       {reverse(p).text()}")
         if comp is not None:
             print(f"complement     {comp}")
@@ -276,7 +274,7 @@ def _cmd_inspect(args) -> int:
         print(f"correlations   {corr}")
         print(f"expected wait  {_exact_str(e)}")
         print("automaton:")
-        print(automaton.dump(a))
+        print(automaton.dump(automaton.build(p)))
     return 0
 
 

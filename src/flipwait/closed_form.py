@@ -74,8 +74,7 @@ def dispatch(p: Pattern) -> int | None:
     starts, since swapping faces preserves the waiting time.  For larger
     alphabets only constant patterns are covered.
     """
-    decomposition = runs(p)
-    lengths = decomposition.lengths
+    lengths = [length for _, length in runs(p)]
     if p.alphabet_size != 2:
         if len(lengths) == 1:
             return wait_die_run(p.alphabet_size, lengths[0])

@@ -50,25 +50,6 @@ class Pattern(Frozen):
         return self.text()
 
 
-class RunDecomposition(Frozen):
-    """Maximal-run factorization: (symbol, length) pairs, adjacent symbols distinct."""
-
-    _fields = ("runs",)
-
-    def __init__(self, runs: tuple[tuple[int, int], ...]):
-        vars(self).update(runs=runs)
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(length for _, length in self.runs)
-
-    def total(self) -> int:
-        return sum(length for _, length in self.runs)
-
-
 def parse(text: str, alphabet_size: int = 2) -> Pattern:
     """Parse 'HhTt...' (case-insensitive) for c=2, or '0,3,1' face indices for c>2.
 
@@ -106,8 +87,8 @@ def parse(text: str, alphabet_size: int = 2) -> Pattern:
     return Pattern(tuple(symbols), alphabet_size)
 
 
-def runs(p: Pattern) -> RunDecomposition:
-    """Factor a pattern into its maximal runs of equal symbols."""
+def runs(p: Pattern) -> tuple[tuple[int, int], ...]:
+    """Factor a pattern into its maximal runs: (symbol, length) pairs, adjacent symbols distinct."""
     out: list[tuple[int, int]] = []
     current = p.symbols[0]
     length = 0
@@ -118,7 +99,7 @@ def runs(p: Pattern) -> RunDecomposition:
             out.append((current, length))
             current, length = sym, 1
     out.append((current, length))
-    return RunDecomposition(tuple(out))
+    return tuple(out)
 
 
 def reverse(p: Pattern) -> Pattern:

@@ -1,7 +1,8 @@
 """Seeded Monte Carlo estimation of the expected waiting time.
 
-A sanity check that shares nothing with the exact machinery beyond the
-border chain of the word and the chain solve that sizes the flip cap.  The
+A sanity check that shares nothing with the exact machinery beyond E(S):
+`simulate_wait` sizes the flip cap from `expected_wait_markov`, and
+`_simpy.play` sizes its rounds' rows from `expected_wait_conway`.  The
 generator is SplitMix64 with one substream per trial (see flipwait._simpy
 for the exact scheme), so reports are bit-identical for a given (pattern,
 trials, seed) on every platform, batch split, or thread count.  Trials

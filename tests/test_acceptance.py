@@ -169,7 +169,7 @@ def test_criterion_07_conditioning_identities():
             if p.symbols[0] != H:
                 continue
             decomposition = runs(p)
-            k = decomposition.runs[0][1]
+            k = decomposition[0][1]
             e = exact.expected_wait_markov(p)
             for i in range(0, k + 3):
                 want_heads = e + i + 2 - (2 ** (i + 1) if i < k else 2 ** (k + 1))
@@ -189,7 +189,7 @@ def test_criterion_07_conditioning_identities():
         for p in enumerate_patterns(s, 2):
             if p.symbols[0] != H:
                 continue
-            decomposition = runs(p).runs
+            decomposition = runs(p)
             k = decomposition[0][1]
             vec = count_first_occurrence(p, N)
             e = lambda n: vec[n] if 0 <= n <= N else 0

@@ -8,45 +8,41 @@ from flipwait.pattern import enumerate_patterns, parse
 H, T = 0, 1
 
 
-def _feed(a, symbols) -> int:
+def _feed(table, symbols) -> int:
     """Run a symbol sequence through the table from the start state."""
     q = 0
     for sym in symbols:
-        q = a.transitions[q][sym]
+        q = table[q][sym]
     return q
 
 
 def test_hand_traced_tables():
-    hh = build(parse("HH"))
-    assert hh.transitions == ((1, 0), (2, 0), (2, 2))
+    assert build(parse("HH")) == ((1, 0), (2, 0), (2, 2))
 
-    ht = build(parse("HT"))
     # a trailing H is still a prefix, so state 1 stays on H
-    assert ht.transitions == ((1, 0), (1, 2), (2, 2))
+    assert build(parse("HT")) == ((1, 0), (1, 2), (2, 2))
 
     hth = build(parse("HTH"))
-    assert hth.transitions[2] == (3, 0)
-    assert hth.transitions[3] == (3, 3)
+    assert hth[2] == (3, 0)
+    assert hth[3] == (3, 3)
 
 
 def test_table_has_one_row_per_state_and_one_column_per_symbol():
-    a = build(parse("HH"))
-    assert a.transitions[1][T] == 0
-    assert a.transitions[2][H] == 2 and a.transitions[2][T] == 2
-    assert len(a.transitions) == a.accept_state + 1 == 3
-    assert all(len(row) == a.alphabet_size == 2 for row in a.transitions)
+    table = build(parse("HH"))
+    assert table[1][T] == 0
+    assert table[2][H] == 2 and table[2][T] == 2
+    assert len(table) == len("HH") + 1 == 3
+    assert all(len(row) == 2 for row in table)
 
 
 def test_htH_stay_state():
-    a = build(parse("HTH"))
-    assert a.transitions[1][H] == 1
+    assert build(parse("HTH"))[1][H] == 1
 
 
 def test_feeding_pattern_reaches_accept():
     for s in range(1, 9):
         for p in enumerate_patterns(s, 2):
-            a = build(p)
-            assert _feed(a, p.symbols) == s
+            assert _feed(build(p), p.symbols) == s
 
 
 def _longest_prefix_suffix(word, pattern_symbols):
@@ -68,21 +64,21 @@ def test_transitions_match_brute_force_definition(alphabet):
         rng = random.Random(s * 1000 + alphabet)
         for _ in range(20):
             symbols = tuple(rng.randrange(alphabet) for _ in range(s))
-            a = build(Pattern(symbols, alphabet))
+            table = build(Pattern(symbols, alphabet))
             for q in range(s):
                 for sym in range(alphabet):
                     word = list(symbols[:q]) + [sym]
-                    assert a.transitions[q][sym] == _longest_prefix_suffix(word, symbols)
+                    assert table[q][sym] == _longest_prefix_suffix(word, symbols)
 
 
 def test_transitions_never_skip_ahead():
     for s in range(1, 10):
         for p in enumerate_patterns(s, 2):
-            a = build(p)
+            table = build(p)
             for q in range(s):
                 for sym in range(2):
-                    assert a.transitions[q][sym] <= q + 1
-                assert a.transitions[q][p.symbols[q]] == q + 1
+                    assert table[q][sym] <= q + 1
+                assert table[q][p.symbols[q]] == q + 1
 
 
 @pytest.mark.parametrize("alphabet,max_len", [(2, 10), (3, 6)])
@@ -101,16 +97,47 @@ def test_match_agrees_with_the_table():
     for c, max_s, max_r in ((2, 5, 7), (3, 3, 4)):
         for s in range(1, max_s + 1):
             for p in enumerate_patterns(s, c):
-                a, fail = build(p), failure_links(p)
+                table, fail = build(p), failure_links(p)
                 for r in range(max_r + 1):
                     for stream in product(range(c), repeat=r):
-                        states = [_feed(a, stream[:i]) for i in range(r + 1)]
+                        states = [_feed(table, stream[:i]) for i in range(r + 1)]
                         end = next((i for i, q in enumerate(states) if q == s), r)
                         assert match(p, fail, stream) == (states[end], end), (p.text(), stream)
 
 
+# (word, alphabet size) -> the full text `dump` prints for its table
+DUMPS = {
+    ("HTH", 2): "\n".join([
+        "state |  H  T",
+        "-------------",
+        "    0 |  1  0",
+        "    1 |  1  2",
+        "    2 |  3  0",
+        "   *3 |  3  3",
+    ]),
+    # two-digit headers: every cell stays 2 wide
+    ("0,10,0", 11): "\n".join([
+        "state |  0  1  2  3  4  5  6  7  8  9 10",
+        "----------------------------------------",
+        "    0 |  1  0  0  0  0  0  0  0  0  0  0",
+        "    1 |  1  0  0  0  0  0  0  0  0  0  2",
+        "    2 |  3  0  0  0  0  0  0  0  0  0  0",
+        "   *3 |  3  3  3  3  3  3  3  3  3  3  3",
+    ]),
+    # three-digit headers widen every cell to 3
+    ("0,100,0", 101): "\n".join([
+        "state |" + "".join(f" {h:>3}" for h in range(101)),
+        "-" * 411,
+        "    0 |   1" + "   0" * 100,
+        "    1 |   1" + "   0" * 99 + "   2",
+        "    2 |   3" + "   0" * 100,
+        "   *3 |" + "   3" * 101,
+    ]),
+}
+
+
 def test_dump_is_aligned_text():
-    text = dump(build(parse("HTH")))
-    lines = text.splitlines()
-    assert lines[0].startswith("state |")
-    assert lines[-1].lstrip().startswith("*3")
+    for (text, c), expected in DUMPS.items():
+        assert dump(build(parse(text, c))) == expected, (text, c)
+    # the state column widens with the accept state's label
+    assert dump(build(parse("H" * 10000))).splitlines()[-1] == "*10000 | 10000 10000"

@@ -26,11 +26,11 @@ def _reference_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
     symbols = as_symbols(given, p.alphabet_size)
     r = len(symbols)
     counts = [0] * (N + 1)
-    a = build(p)
+    table = build(p)
     s = len(p)
     state = 0
     for i, sym in enumerate(symbols):
-        state = a.transitions[state][sym]
+        state = table[state][sym]
         if state == s:
             if i == r - 1 and r <= N:
                 counts[r] = 1
@@ -44,7 +44,7 @@ def _reference_count_vector(p: Pattern, given, N: int) -> tuple[int, ...]:
             w = weights[q]
             if not w:
                 continue
-            for to in a.transitions[q]:
+            for to in table[q]:
                 if to == s:
                     absorbed += w
                 else:
@@ -176,7 +176,7 @@ def test_head_run_count_identities():
         for p in enumerate_patterns(s, 2):
             if p.symbols[0] != H:
                 continue
-            decomposition = runs(p).runs
+            decomposition = runs(p)
             k = decomposition[0][1]
             vec = count_first_occurrence(p, 40)
             e = lambda n: vec[n] if 0 <= n <= 40 else 0

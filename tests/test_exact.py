@@ -22,13 +22,13 @@ H, T = 0, 1
 
 def _reference_absorption_times(p: Pattern) -> list[Fraction]:
     """Dense route: Gaussian elimination of c*E_q - sum_a E_delta(q,a) = c over rationals."""
-    a = build(p)
+    table = build(p)
     s = len(p)
     c = p.alphabet_size
     m = [[Fraction(0)] * (s + 1) for _ in range(s)]
     for q in range(s):
         m[q][q] += c
-        for nxt in a.transitions[q]:
+        for nxt in table[q]:
             if nxt < s:
                 m[q][nxt] -= 1
         m[q][s] = Fraction(c)
@@ -199,7 +199,7 @@ def test_conditional_wait_base_cases():
 
 def _reference_conditional_wait(p: Pattern, given, times: list[Fraction]) -> Fraction:
     """Table route: feed the given stream through the dense automaton."""
-    table = build(p).transitions
+    table = build(p)
     state = 0
     for sym in given:
         state = table[state][sym]
@@ -265,7 +265,7 @@ def test_head_run_conditioning_identities():
         for p in enumerate_patterns(s, 2):
             if p.symbols[0] != H:
                 continue
-            k = runs(p).runs[0][1]
+            k = runs(p)[0][1]
             e = expected_wait_markov(p)
             nruns = len(runs(p))
             for i in range(0, k + 3):

@@ -15,11 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from flipwait.automaton import build
 from flipwait.conjectures import INTERPRETATION, scan
 from flipwait.counting import CountFamilyMismatch, CountFamilyReport, CountVector, count_first_occurrence
 from flipwait.identities import CorollaryCheck
-from flipwait.pattern import parse, runs
+from flipwait.pattern import parse
 from flipwait.recurrence import Recurrence
 from flipwait.sequences import SeqFamily
 
@@ -163,11 +162,6 @@ def test_a_fresh_import_loads_only_what_runs():
 CLASS_CONTRACTS = [
     (lambda: parse("HTH"), lambda: parse("HTT"), ("symbols", "alphabet_size"),
      "Pattern(symbols=(0, 1, 0), alphabet_size=2)", True),
-    (lambda: runs(parse("HTT")), lambda: runs(parse("HTH")), ("runs",),
-     "RunDecomposition(runs=((0, 1), (1, 2)))", True),
-    (lambda: build(parse("HT")), lambda: build(parse("HH")), ("pattern", "transitions"),
-     "PrefixAutomaton(pattern=Pattern(symbols=(0, 1), alphabet_size=2), transitions=((1, 0), (1, 2), (2, 2)))",
-     True),
     (lambda: Recurrence(((1, 1), (2, 1))), lambda: Recurrence(((1, 1), (2, -1))), ("taps",),
      "Recurrence(taps=((1, 1), (2, 1)))", True),
     (lambda: SeqFamily("fib2", (1, 2)), lambda: SeqFamily("fib2", (2, 1)), ("kind", "params"),

@@ -17,7 +17,7 @@ def test_parse_coin():
     p = parse("HHT")
     assert p.symbols == (0, 0, 1)
     assert p.alphabet_size == 2
-    assert runs(p).runs == ((0, 2), (1, 1))
+    assert runs(p) == ((0, 2), (1, 1))
 
 
 def test_parse_is_case_insensitive():
@@ -64,14 +64,18 @@ def test_pattern_invariants_enforced():
     ],
 )
 def test_runs(text, expected):
-    assert runs(parse(text)).runs == expected
+    assert runs(parse(text)) == expected
+
+
+def test_runs_of_a_die_word():
+    assert runs(parse("0,0,5,5,5,0", 6)) == ((0, 2), (5, 3), (0, 1))
 
 
 def test_runs_lengths_sum_to_pattern_length():
     for s in range(1, 7):
         for p in enumerate_patterns(s, 2):
             decomposition = runs(p)
-            assert decomposition.total() == s
+            assert sum(length for _, length in decomposition) == s
             adjacent_changes = sum(a != b for a, b in zip(p.symbols, p.symbols[1:]))
             assert len(decomposition) == 1 + adjacent_changes
 

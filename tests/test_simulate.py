@@ -54,7 +54,7 @@ def _draws(seed: int, trial: int, n: int, c: int) -> tuple[int, ...]:
 
 
 def _flat(symbols, c: int) -> list[int]:
-    return [t for row in build(Pattern(tuple(symbols), c)).transitions for t in row]
+    return [t for row in build(Pattern(tuple(symbols), c)) for t in row]
 
 
 def _outcome(run, *args):
@@ -81,8 +81,7 @@ def test_batch_split_does_not_change_totals():
     p = parse("HH")
     from flipwait.automaton import build
 
-    a = build(p)
-    flat = [t for row in a.transitions for t in row]
+    flat = [t for row in build(p) for t in row]
     whole = _simpy.run_batch(flat, 2, 2, 1000, 42, 0, FLIP_CAP)
     first = _simpy.run_batch(flat, 2, 2, 400, 42, 0, FLIP_CAP)
     second = _simpy.run_batch(flat, 2, 2, 600, 42, 400, FLIP_CAP)
@@ -126,10 +125,9 @@ def test_min_flips_at_least_pattern_length():
 
 def test_flip_cap_raises():
     p = parse("H" * 12)
-    a = build(p)
-    flat = [t for row in a.transitions for t in row]
+    flat = [t for row in build(p) for t in row]
     with pytest.raises(ValueError, match="flip cap"):
-        _simpy.run_batch(flat, a.accept_state, 2, 100, 42, 0, 5)
+        _simpy.run_batch(flat, len(p), 2, 100, 42, 0, 5)
 
 
 def test_coverage_of_exact_value_across_seeds():
@@ -307,9 +305,9 @@ def test_simulate_wait_builds_no_table(monkeypatch):
     def build(*args):
         raise AssertionError("simulate_wait built the automaton table")
 
-    # the dataclass too, so that a from-import of build cannot slip past
+    # _simpy's from-import too, so that the kernel cannot build it either
     monkeypatch.setattr(automaton, "build", build)
-    monkeypatch.setattr(automaton, "PrefixAutomaton", build)
+    monkeypatch.setattr(_simpy, "build", build)
     assert simulate_wait(parse("HTH"), 3000, 5) == expected
 
 
