@@ -86,9 +86,10 @@ def dump(table: tuple[tuple[int, ...], ...]) -> str:
         headers = ["H", "T"]
     else:
         headers = [str(i) for i in range(c)]
+    # every entry is a state, at most `accept`; the starred accept label is the widest
     width = max(5, len(str(accept)) + 1)
-    cell = max(2, *(len(h) for h in headers))
-    lines = ["state |" + "".join(f" {h:>{cell}}" for h in headers)]
+    cell = max(2, len(str(accept)), *(len(h) for h in headers))
+    lines = [f"{'state':>{width}} |" + "".join(f" {h:>{cell}}" for h in headers)]
     lines.append("-" * len(lines[0]))
     for q, row in enumerate(table):
         label = f"*{q}" if q == accept else str(q)

@@ -14,10 +14,10 @@ decimal work, so one that cannot be printed fails at once with CPython's
 own error.
 
 Importing this module loads what `expect` and `inspect` run (`pattern`,
-`automaton`, `exact`, `closed_form`, `jsontext` and `fractions`) and
-nothing else.  Every other command imports its own modules when it runs,
-and `build_parser` imports argparse and `sequences`, whose family table
-the `seq` help and the `sum` flags read.  A command reads each function
+`automaton`, `exact`, `closed_form` and `jsontext`) and nothing else.
+Every other command imports its own modules when it runs, and
+`build_parser` imports argparse and `sequences`, whose family table the
+`seq` help and the `sum` flags read.  A command reads each function
 as an attribute of its module at the call, so a function swapped on its
 module is the one called.
 
@@ -34,7 +34,6 @@ is argparse's own.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from flipwait import automaton, exact
 from flipwait.closed_form import dispatch
@@ -52,12 +51,8 @@ from flipwait.pattern import (
 SCHEMA = 1
 
 
-def _rat_str(x: "Fraction | int") -> str:
-    return _exact_str(Fraction(x))
-
-
 def _approx(x: "Fraction | int") -> str:
-    return f"{float(Fraction(x)):.12g}"
+    return f"{float(x):.12g}"
 
 
 def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None, command=None):
@@ -93,7 +88,7 @@ def _cmd_expect(args) -> int:
             results["closed"] = dispatch(p)
 
     agree = True
-    known = [Fraction(v) for v in results.values() if v is not None]
+    known = [v for v in results.values() if v is not None]
     if len(known) > 1:
         agree = all(v == known[0] for v in known)
 
@@ -101,7 +96,7 @@ def _cmd_expect(args) -> int:
         _emit({
             "pattern": p.text(),
             "alphabet": p.alphabet_size,
-            "results": {k: (None if v is None else _rat_str(v)) for k, v in results.items()},
+            "results": {k: (None if v is None else _exact_str(v)) for k, v in results.items()},
             "agree": agree,
         }, command=args.cmd)
     else:
@@ -110,7 +105,7 @@ def _cmd_expect(args) -> int:
                 print(f"{k:>7}: no closed form (not a covered pattern class); "
                       f"use --method markov or conway")
             else:
-                print(f"{k:>7}: {_rat_str(v)}")
+                print(f"{k:>7}: {_exact_str(v)}")
         if args.method == "all":
             print(f"  agree: {'yes' if agree else 'NO'}")
     if not agree:
@@ -119,22 +114,24 @@ def _cmd_expect(args) -> int:
     return 0
 
 
+def _listing(args, payload: dict, key: str, header: str, texts) -> int:
+    """Print `texts` under `key` of the JSON payload, or as rows numbered from 0 under `header`."""
+    if args.json:
+        _emit(payload, key, list(texts), args.cmd)
+    else:
+        print(header)
+        for n, text in enumerate(texts):
+            print(f"{n:>4}  {text}")
+    return 0
+
+
 def _cmd_count(args) -> int:
     from flipwait import counting
 
     p = parse(args.pattern, args.alphabet)
     vec = counting.count_first_occurrence(p, args.upto)
-    if args.json:
-        _emit({
-            "pattern": p.text(),
-            "alphabet": p.alphabet_size,
-            "upto": args.upto,
-        }, "counts", list(vec.decimal_strings(check_first=True)), args.cmd)
-    else:
-        print(f"first-occurrence counts for {p.text()}")
-        for n, text in enumerate(vec.decimal_strings()):
-            print(f"{n:>4}  {text}")
-    return 0
+    return _listing(args, {"pattern": p.text(), "alphabet": p.alphabet_size, "upto": args.upto}, "counts",
+                    f"first-occurrence counts for {p.text()}", vec.decimal_strings(check_first=args.json))
 
 
 def _cmd_seq(args) -> int:
@@ -142,16 +139,8 @@ def _cmd_seq(args) -> int:
 
     family = sequences.parse_family(args.family)
     texts = sequences.value_strings(family, args.upto, check_first=args.json)
-    if args.json:
-        _emit({
-            "family": family.label(),
-            "upto": args.upto,
-        }, "values", list(texts), args.cmd)
-    else:
-        print(f"{family.label()} for n = 0..{args.upto}")
-        for n, text in enumerate(texts):
-            print(f"{n:>4}  {text}")
-    return 0
+    return _listing(args, {"family": family.label(), "upto": args.upto}, "values",
+                    f"{family.label()} for n = 0..{args.upto}", texts)
 
 
 def _sum_params(args) -> tuple[int, ...]:
@@ -176,17 +165,17 @@ def _cmd_sum(args) -> int:
             "corollary": check.which,
             "params": list(check.params),
             "N": check.N,
-            "partial": _rat_str(check.partial),
-            "target": _rat_str(check.target),
-            "gap": _rat_str(check.gap),
-            "tail_bound": _rat_str(check.bound),
+            "partial": _exact_str(check.partial),
+            "target": _exact_str(check.target),
+            "gap": _exact_str(check.gap),
+            "tail_bound": _exact_str(check.bound),
             "certified": check.certified,
         }, command=args.cmd)
     else:
         print(f"corollary {check.which}{check.params} truncated at N={check.N}")
-        print(f"  partial    = {_rat_str(check.partial)}")
+        print(f"  partial    = {_exact_str(check.partial)}")
         print(f"             ~ {_approx(check.partial)}")
-        print(f"  target     = {_rat_str(check.target)}")
+        print(f"  target     = {_exact_str(check.target)}")
         print(f"  gap        ~ {_approx(check.gap)}")
         print(f"  tail bound ~ {_approx(check.bound)}")
         print(f"  gap <= bound: {'yes' if check.certified else 'NO'}")

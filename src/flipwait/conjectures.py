@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from flipwait._record import Record
 from flipwait.exact import expected_wait_conway, expected_wait_markov
-from flipwait.jsontext import dumps
+from flipwait.jsontext import CONSTANTS, dumps
 from flipwait.pattern import Pattern, parse, reverse, runs
 
 INTERPRETATION = (
@@ -270,12 +270,6 @@ _RECORD = """{
       "power_form_ok": %s,
       "excess_exponents": %s
     }"""
-_WORDS = {True: "true", False: "false", None: "null"}
-
-
-def _json_ints(values: tuple) -> str:
-    """The JSON list of `values` at the depth of a record's field."""
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
 
 
 def write_json(report: ScanReport, path: str):
@@ -290,9 +284,10 @@ def write_json(report: ScanReport, path: str):
     with open(path, "w") as fh:
         fh.write(head[:-3])
         sep = indent
-        for rows in _rows(report.columns, exponents=_json_ints):
+        # each exponent list at the depth of a record's field
+        for rows in _rows(report.columns, exponents=lambda xs: dumps(list(xs), "\n      ")):
             for pattern, length, e, rev, e_rev, ok, form_ok, exponents in rows:
-                fh.write(sep + _RECORD % (pattern, length, e, rev, e_rev, _WORDS[ok], _WORDS[form_ok],
+                fh.write(sep + _RECORD % (pattern, length, e, rev, e_rev, CONSTANTS[ok], CONSTANTS[form_ok],
                                           exponents or "null"))
                 sep = "," + indent
         fh.write("]\n}\n" if sep == indent else "\n  ]\n}\n")  # json writes no records as []

@@ -97,4 +97,5 @@ def conditional_wait(p: Pattern, given) -> Fraction:
     """
     symbols = as_symbols(given, p.alphabet_size)
     state, _ = match(p, failure_links(p), symbols)
-    return len(symbols) + absorption_times(p)[state]
+    d = _offsets(p)
+    return len(symbols) + Fraction(d[-1] - d[state])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from _json import encode_basestring_ascii
 
 # json.dumps's spellings of the constants and of the floats that are not numbers
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+CONSTANTS = {None: "null", True: "true", False: "false"}
 _INFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
@@ -26,7 +26,7 @@ def dumps(x, indent: str = "\n") -> str:
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or x is True or x is False:
-        return _CONSTANTS[x]
+        return CONSTANTS[x]
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, float):

@@ -144,9 +144,11 @@ class Recurrence(Frozen):
         # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if check_first and limit:
-            bound = 10**limit
+            # bound < 10**limit, as 3.3219 < log2(10), so a smaller value has at most `limit`
+            # digits; unlike 10**limit, the shift costs no big-int multiplication per call
+            bound = 1 << limit * 33219 // 10000
             for v in filter(bound.__le__, map(abs, stored)):
-                str(v)  # more than `limit` digits: CPython raises
+                str(v)  # CPython raises if v has more than `limit` digits
         total = len(stored)
         n = 0
         while n < total and (n < start or stored[n].bit_length() <= _DECIMAL_BITS):

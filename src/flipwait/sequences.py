@@ -186,8 +186,8 @@ _cache: dict[SeqFamily, tuple[Recurrence, list[int], int]] = {}
 _cache_lock = threading.Lock()
 
 
-def _history(f: SeqFamily, n: int) -> tuple[list[int], int]:
-    """The family's shared history through index n and the index of its first entry; do not mutate it."""
+def _history(f: SeqFamily, n: int) -> tuple[Recurrence, list[int], int]:
+    """The family's (recurrence, history, index of its first entry), the history through index n; do not mutate it."""
     with _cache_lock:
         entry = _cache.get(f)
         if entry is None:
@@ -195,7 +195,7 @@ def _history(f: SeqFamily, n: int) -> tuple[list[int], int]:
             entry = _cache[f] = (rec, [0] * rec.max_lag + [1], base_index(f) - rec.max_lag)
         rec, history, origin = entry
         rec.extend(history, n - origin + 1)
-        return history, origin
+        return entry
 
 
 def values(f: SeqFamily, upto: int) -> list[int]:
@@ -203,7 +203,7 @@ def values(f: SeqFamily, upto: int) -> list[int]:
     base = base_index(f)
     if upto < base:
         return []
-    history, origin = _history(f, upto)
+    _, history, origin = _history(f, upto)
     return history[base - origin:upto - origin + 1]
 
 
@@ -211,7 +211,7 @@ def value(f: SeqFamily, n: int) -> int:
     """Single exact value; n may be arbitrarily negative (zero below the seed)."""
     if n < base_index(f):
         return 0
-    history, origin = _history(f, n)
+    _, history, origin = _history(f, n)
     return history[n - origin]
 
 
@@ -224,8 +224,7 @@ def value_strings(f: SeqFamily, upto: int, check_first: bool = False) -> Iterato
     """
     if upto < 0:
         raise ValueError(f"N must be nonnegative, got {upto}")
-    rec = _recurrence(f)
-    history, origin = _history(f, upto)
+    rec, history, origin = _history(f, upto)
     # every family's max lag is at least its seed index, so origin <= 0
     return rec.strings(history[-origin:upto - origin + 1], base_index(f) + rec.max_lag + 1, check_first)
 

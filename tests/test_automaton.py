@@ -141,3 +141,12 @@ def test_dump_is_aligned_text():
         assert dump(build(parse(text, c))) == expected, (text, c)
     # the state column widens with the accept state's label
     assert dump(build(parse("H" * 10000))).splitlines()[-1] == "*10000 | 10000 10000"
+
+
+@pytest.mark.parametrize("text, c", [("H" * 100, 2), ("H" * 10000, 2), ("0,100,0", 101)],
+                         ids=["H*100", "H*10000", "0,100,0"])
+def test_dump_lines_up_entries_and_labels_of_any_width(text, c):
+    # 3-digit entries widen every cell, a 6-character accept label the header's state column
+    lines = dump(build(parse(text, c))).splitlines()
+    assert len({len(line) for line in lines}) == 1
+    assert len({line.index("|") for line in lines if "|" in line}) == 1

@@ -138,3 +138,15 @@ def test_strings_step_exactly_and_yield_in_the_callers_context():
                 assert decimal.Decimal(1) / 3 == decimal.Decimal("0.33333")
                 got.append(text)
         assert got == [str(v) for v in ints]
+
+
+def test_check_first_passes_every_value_within_the_digit_limit(int_digits, drain):
+    # at 640, the lowest limit CPython accepts, the check's bound is 2**2126, just under 10**640
+    int_digits(640)
+    rec = Recurrence(((1, 1),))
+    fits = [10**640 - 1, -(10**640 - 1), 2**2126, 10**640 - 2**2100]
+    assert 2**2126 < 10**640 - 2**2100 < 10**640
+    assert list(rec.strings(fits, len(fits), check_first=True)) == [str(v) for v in fits]
+    with pytest.raises(ValueError) as too_long:
+        str(10**640)
+    assert drain(rec.strings([1, 10**640], 2, check_first=True)) == ([], str(too_long.value))
