@@ -12,7 +12,7 @@ from, and walk a given stream along it with `match`.
 
 from __future__ import annotations
 
-from flipwait.pattern import Pattern
+from flipwait.pattern import Pattern, symbol_text
 
 
 def failure_links(p: Pattern) -> list[int]:
@@ -82,10 +82,7 @@ def build(p: Pattern) -> tuple[tuple[int, ...], ...]:
 def dump(table: tuple[tuple[int, ...], ...]) -> str:
     """Aligned text rendering of a `build` table; the accept row, the last, is starred."""
     c, accept = len(table[0]), len(table) - 1
-    if c == 2:
-        headers = ["H", "T"]
-    else:
-        headers = [str(i) for i in range(c)]
+    headers = [symbol_text(i, c) for i in range(c)]
     # every entry is a state, at most `accept`; the starred accept label is the widest
     width = max(5, len(str(accept)) + 1)
     cell = max(2, len(str(accept)), *(len(h) for h in headers))

@@ -46,6 +46,7 @@ from flipwait.pattern import (
     parse,
     reverse,
     runs,
+    symbol_text,
 )
 
 SCHEMA = 1
@@ -251,11 +252,8 @@ def _cmd_inspect(args) -> int:
             "transitions": [list(row) for row in automaton.build(p)],
         }, command=args.cmd)
     else:
-        def sym_text(sym: int) -> str:
-            return "HT"[sym] if p.alphabet_size == 2 else str(sym)
-
         print(f"pattern        {p.text()}  (alphabet {p.alphabet_size}, length {len(p)})")
-        print(f"runs           {' '.join(f'({sym_text(sym)},{length})' for sym, length in runs(p))}")
+        print(f"runs           {' '.join(f'({symbol_text(sym, p.alphabet_size)},{n})' for sym, n in runs(p))}")
         print(f"reversal       {reverse(p).text()}")
         if comp is not None:
             print(f"complement     {comp}")
@@ -309,9 +307,8 @@ def build_parser():
 
     sp = sub.add_parser("sum", help="verify a summation identity by exact partial sums")
     sp.add_argument("corollary", choices=list(sequences.COROLLARIES))
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--s", type=int)
+    for name in dict.fromkeys(n for kind in sequences.KINDS.values() for n in kind.names):
+        sp.add_argument(f"--{name}", type=int)
     sp.add_argument("--N", type=int, help="truncation (default max(200, 50*pattern length))")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_sum)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from flipwait._record import Record
 from flipwait.exact import expected_wait_conway, expected_wait_markov
 from flipwait.jsontext import CONSTANTS, dumps
-from flipwait.pattern import Pattern, parse, reverse, runs
+from flipwait.pattern import COIN_LETTERS, Pattern, parse, reverse, runs
 
 INTERPRETATION = (
     "power form holds iff E - 2**len is a sum of distinct powers 2**e with 1 <= e <= len-1; "
@@ -83,16 +83,14 @@ class ScanReport(Record):
     _fields = ("max_len", "interpretation", "violations", "spot_checks", "columns", "histogram")
     _hidden = ("columns",)
 
-    def __init__(self, max_len: int, interpretation: str = INTERPRETATION, violations: list[str] | None = None,
-                 spot_checks: int = 0, columns: list[tuple[array, array]] | None = None,
-                 histogram: dict[int, int] | None = None):
+    def __init__(self, max_len: int):
         self.max_len = max_len
-        self.interpretation = interpretation
-        self.violations = [] if violations is None else violations
-        self.spot_checks = spot_checks
+        self.interpretation = INTERPRETATION
+        self.violations: list[str] = []
+        self.spot_checks = 0
         # per length s = 1.., (E of each word, index of its reversal), words in lexicographic order
-        self.columns = [] if columns is None else columns
-        self.histogram = {} if histogram is None else histogram
+        self.columns: list[tuple[array, array]] = []
+        self.histogram: dict[int, int] = {}
         self._records = None  # the PatternRecords, built on first read; neither compared nor shown
 
     @property
@@ -124,7 +122,7 @@ def _rows(columns: list[tuple[array, array]], blank=None, exponents=tuple):
     """
     texts = [""]
     for s, (es, rev) in enumerate(columns, 1):
-        texts = [t + ch for t in texts for ch in "HT"]
+        texts = [t + ch for t in texts for ch in COIN_LETTERS]
         es = es.tolist()
         e_revs = list(map(es.__getitem__, rev))
         inner = es[1:-1]
@@ -195,6 +193,7 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
     report = ScanReport(max_len=max_len)
     hist: Counter[int] = Counter()
     column = array("I", [0]), array("I", [0])
+    letters = str.maketrans("01", COIN_LETTERS)  # a word's index in binary is the word
     for s in range(1, max_len + 1):
         column = _grow(*column, s)
         report.columns.append(column)
@@ -210,7 +209,7 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
         if e_revs != es or failing:
             visit.update(i for i, (e, f) in enumerate(zip(es, e_revs)) if e != f or e in failing)
         for idx in sorted(visit):
-            text = format(idx, f"0{s}b").replace("0", "H").replace("1", "T")
+            text = format(idx, f"0{s}b").translate(letters)
             if es[idx] != e_revs[idx]:
                 report.violations.append(f"reversal mismatch for {text}")
             if es[idx] in failing:

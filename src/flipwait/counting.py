@@ -184,10 +184,7 @@ def conditional_count(p: Pattern, given, n: int) -> int:
     """Single entry of conditional_count_vector; 0 when n is below the given length."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    symbols = as_symbols(given, p.alphabet_size)
-    if n < len(symbols):
-        return 0
-    return conditional_count_vector(p, symbols, n)[n]
+    return conditional_count_vector(p, given, n)[n]
 
 
 class CountFamilyMismatch(Frozen):

@@ -7,9 +7,9 @@ subtracting state f(q)'s equation from state q's leaves
     E_1 = E_0 - c,    E_{q+1} = c*(E_q - E_{f(q)}) + E_{f(q+1)}   (1 <= q < s),
 and E_s = 0 fixes E_0.  This is O(s) integer work whatever the alphabet.
 The autocorrelation route sums c**k over the overlaps of the pattern with
-itself, read off the same failure links as the border chain of the whole
-pattern; it always yields an integer and checks the recurrence.  The tests
-keep the dense Gaussian elimination and the prefix/suffix slicing
+itself in one walk of the border chain of the whole pattern, read off the
+same failure links; it always yields an integer and checks the recurrence.
+The tests keep a dense elimination and the prefix/suffix slicing
 definition as references for both.
 """
 
@@ -34,11 +34,12 @@ def exact_str(x: "Fraction | int") -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _offsets(p: Pattern) -> list[int]:
-    """The integer offsets D_q = E_0 - E_q, q = 0..s, of the chain solve; D_s = E_0."""
-    s = len(p)
-    c = p.alphabet_size
-    fail = failure_links(p)
+def _offsets(fail: list[int], c: int) -> list[int]:
+    """The integer offsets D_q = E_0 - E_q, q = 0..s, of the chain solve; D_s = E_0.
+
+    `fail` is the pattern's `failure_links` and c its alphabet size.
+    """
+    s = len(fail) - 1
     d = [0] * (s + 1)
     d[1] = c
     for q in range(1, s):
@@ -54,14 +55,14 @@ def absorption_times(p: Pattern) -> list[Fraction]:
     every q (by induction from A_0 = A_1 = 1), so it shoots only the integer
     offsets D_q = E_0 - E_q forward; E_s = 0 then gives E_0 = D_s.
     """
-    d = _offsets(p)
+    d = _offsets(failure_links(p), p.alphabet_size)
     e0 = d[-1]
     return [Fraction(e0 - dq) for dq in d]
 
 
 def expected_wait_markov(p: Pattern) -> Fraction:
     """Expected number of draws until the pattern first occurs (chain solve)."""
-    return Fraction(_offsets(p)[-1])
+    return Fraction(_offsets(failure_links(p), p.alphabet_size)[-1])
 
 
 def correlation_set(p: Pattern) -> set[int]:
@@ -79,9 +80,19 @@ def correlation_set(p: Pattern) -> set[int]:
 
 
 def expected_wait_conway(p: Pattern) -> int:
-    """Expected waiting time as the autocorrelation sum of c**k over overlaps."""
+    """Expected waiting time as the autocorrelation sum of c**k over overlaps.
+
+    The sum is taken in one walk of the border chain s > f(s) > ... > 0 in
+    Horner form: with borders k_1 > ... > k_m, E = (...((1 * c**(k_1 - k_2)
+    + 1) * c**(k_2 - k_3) + 1)...) * c**k_m, one power per gap.
+    """
     c = p.alphabet_size
-    return sum(c**k for k in correlation_set(p))
+    fail = failure_links(p)
+    e, k = 0, len(p)
+    while k:
+        e = (e + 1) * c ** (k - fail[k])
+        k = fail[k]
+    return e
 
 
 def conditional_wait(p: Pattern, given) -> Fraction:
@@ -96,6 +107,7 @@ def conditional_wait(p: Pattern, given) -> Fraction:
     accept state, so no transition table is built.
     """
     symbols = as_symbols(given, p.alphabet_size)
-    state, _ = match(p, failure_links(p), symbols)
-    d = _offsets(p)
+    fail = failure_links(p)
+    state, _ = match(p, fail, symbols)
+    d = _offsets(fail, p.alphabet_size)
     return len(symbols) + Fraction(d[-1] - d[state])

@@ -15,7 +15,7 @@ from flipwait._record import Frozen
 HEADS = 0
 TAILS = 1
 
-_COIN_CHARS = "HT"
+COIN_LETTERS = "HT"  # how the coin's symbols 0 and 1 are written
 
 
 class PatternError(ValueError):
@@ -43,11 +43,16 @@ class Pattern(Frozen):
     def text(self) -> str:
         """Canonical rendering: 'HTH' for c=2, comma-separated indices otherwise."""
         if self.alphabet_size == 2:
-            return "".join(_COIN_CHARS[s] for s in self.symbols)
+            return "".join(COIN_LETTERS[s] for s in self.symbols)
         return ",".join(str(s) for s in self.symbols)
 
     def __str__(self) -> str:
         return self.text()
+
+
+def symbol_text(sym: int, alphabet_size: int) -> str:
+    """One symbol as text: its letter for the coin, its face index otherwise."""
+    return COIN_LETTERS[sym] if alphabet_size == 2 else str(sym)
 
 
 def parse(text: str, alphabet_size: int = 2) -> Pattern:

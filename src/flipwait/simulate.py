@@ -41,7 +41,6 @@ from flipwait import _simpy
 from flipwait.exact import exact_str, expected_wait_markov
 from flipwait.pattern import Pattern
 
-MASK64 = (1 << 64) - 1
 FLIP_CAP = 10**7  # the flip cap never drops below this; the benchmark passes it to run_batch
 # Read only by the benchmark's simulate check, which re-splits reports of more
 # trials than this; simulate_wait plays every trial in one kernel call.
@@ -90,7 +89,7 @@ def simulate_wait(p: Pattern, trials: int, seed: int, kernel: str | None = None)
     if trials * e > SIM_BUDGET:
         raise ValueError(f"{trials} games of {p.text()} expect {exact_str(trials * e)} draws (E = {exact_str(e)}), "
                          f"more than the simulation budget of {SIM_BUDGET} draws")
-    seed &= MASK64
+    seed &= _simpy.MASK64
     total, total_sq, mn, mx = _simpy.play(p, trials, seed, 0, flip_cap(p))
     mean = total / trials
     if trials > 1:

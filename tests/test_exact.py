@@ -21,29 +21,37 @@ H, T = 0, 1
 
 
 def _reference_absorption_times(p: Pattern) -> list[Fraction]:
-    """Dense route: Gaussian elimination of c*E_q - sum_a E_delta(q,a) = c over rationals."""
+    """Dense route: Bareiss elimination of c*E_q - sum_a E_delta(q,a) = c over ints.
+
+    Fraction-free: each step divides exactly by the previous pivot, so every
+    entry stays an int (a minor of the matrix); only the back-substitution
+    divides, in Fractions.
+    """
     table = build(p)
     s = len(p)
     c = p.alphabet_size
-    m = [[Fraction(0)] * (s + 1) for _ in range(s)]
+    m = [[0] * (s + 1) for _ in range(s)]
     for q in range(s):
         m[q][q] += c
         for nxt in table[q]:
             if nxt < s:
                 m[q][nxt] -= 1
-        m[q][s] = Fraction(c)
+        m[q][s] = c
+    prev = 1
     for col in range(s):
         pivot_row = next(r for r in range(col, s) if m[r][col] != 0)
         m[col], m[pivot_row] = m[pivot_row], m[col]
+        pivot = m[col][col]
         for r in range(col + 1, s):
-            if m[r][col] != 0:
-                scale = m[r][col] / m[col][col]
-                for j in range(col, s + 1):
-                    m[r][j] -= scale * m[col][j]
+            lead = m[r][col]
+            m[r][col] = 0
+            for j in range(col + 1, s + 1):
+                m[r][j] = (m[r][j] * pivot - lead * m[col][j]) // prev
+        prev = pivot
     times = [Fraction(0)] * (s + 1)
     for r in range(s - 1, -1, -1):
         acc = m[r][s] - sum(m[r][j] * times[j] for j in range(r + 1, s))
-        times[r] = acc / m[r][r]
+        times[r] = acc / Fraction(m[r][r])
     return times
 
 

@@ -1,9 +1,11 @@
 import decimal
 import random
+import sys
 
 import pytest
 
 from flipwait.counting import count_first_occurrence
+from flipwait.exact import exact_str
 from flipwait.pattern import parse
 from flipwait.recurrence import _BLOCK, _DECIMAL_BITS, Recurrence, tap_classes
 from flipwait.sequences import fib_order, value, value_strings
@@ -150,3 +152,14 @@ def test_check_first_passes_every_value_within_the_digit_limit(int_digits, drain
     with pytest.raises(ValueError) as too_long:
         str(10**640)
     assert drain(rec.strings([1, 10**640], 2, check_first=True)) == ([], str(too_long.value))
+
+
+def test_pythons_without_the_digit_limit_calls_print_every_value(int_digits, monkeypatch):
+    # Pythons before 3.10.7 have neither call and no int -> str limit
+    int_digits(0)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert exact_str(10**5000) == str(10**5000)
+    rec = Recurrence(((1, 2**64),))
+    powers = [2 ** (64 * n) for n in range(300)]  # past 1024 bits from n = 16, past 4300 digits from n = 224
+    assert list(rec.strings(powers, 1, check_first=True)) == [str(v) for v in powers]
