@@ -6,7 +6,8 @@ GAMMA per draw with the standard 64-bit finalizer.  Mixing the start is the
 usual split step; without it consecutive trials would replay shifted views
 of one global sequence and be heavily correlated.  Symbols are the output
 modulo the alphabet size.  Per-trial streams make the result independent of
-trial scheduling, so any batching or threading produces the same totals.
+trial scheduling, so any batching, thread or process count produces the same
+totals.
 
 The same independence lets a block of trials draw together.  Each round draws
 `row` new symbols for every live trial into one Python int of W-bit lanes,
@@ -48,8 +49,25 @@ every lane, which a right shift cuts to the rows a doubling step adds, and
 each nonzero symbol byte repeated over the largest search a round can make
 (most new cells plus s-1 carried rows of a block), which a right shift cuts
 to a round's cells; symbol byte 0 needs no xor.  Nothing outlives the call.
+
+`play` spreads one call over the CPUs the process may use.  It cuts the
+trials into w contiguous near-equal ranges, forks one child per range past
+the first, plays the first range itself and adds the reports up in range
+order, so the sums and the trial a flip-cap error names are those of one
+process.  Each process runs on its own CPU: the parent on the first for the
+length of the call, each child on the next.  A host whose cpuset does not
+balance load leaves a forked child on its parent's CPU, where two unpinned
+processes took twice as long as one (2-vCPU host, `sched_load_balance` 0).
+Each child writes its four sums, or `E` and its ValueError's message, as
+ASCII to its own pipe and leaves by `os._exit`, so it never flushes the
+parent's stdio or runs its exit handlers.  w is 1 where the platform lacks
+`sched_getaffinity` or `fork`, or while a second thread runs; a range whose
+fork fails is played in the parent.  Every child is killed if still running
+and reaped before `play` returns or raises.
 """
 
+import os
+import sys
 from itertools import compress, repeat
 from math import isqrt
 from operator import mul
@@ -67,6 +85,12 @@ LANES = 1 << 12  # lanes per round, so every packed int stays near 70 KB
 TRIAL_COST = 2  # overhead of one trial in one round, in lanes
 ROUND_COST = 100  # overhead of one round, in lanes
 ZERO = b"\x01" + bytes(255)  # translate table: 1 for a zero byte, 0 for any other
+# Fewest expected draws, trials * E(S), that each process must get.  A fork,
+# its pipe and its waitpid cost 0.81/0.89/1.09 ms (min/median/p90 of 50, 19 MB
+# process, 2-vCPU shared host) and the kernel about 160 ns per draw (HTH took
+# 1.65 ms for 1,000 trials and 15.7 ms for 10,000 in one process), so a child
+# breaks even near 6,000 draws; each process gets about 7 times that (6.4 ms).
+SPLIT_DRAWS = 4 * 10**4
 
 
 def _word(flat, accept: int, nsym: int) -> Pattern:
@@ -104,13 +128,116 @@ def run_batch(flat, accept, nsym, trials, seed, first_trial, flip_cap):
     return play(_word(flat, accept, nsym), trials, seed, first_trial, flip_cap)
 
 
+def _workers(trials: int, e: int) -> int:
+    """Processes for `trials` games of expected length e: one per usable CPU, each
+    with at least SPLIT_DRAWS expected draws; 1 without fork or while a second thread runs."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    if "threading" in sys.modules and sys.modules["threading"].active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials, e * trials // SPLIT_DRAWS))
+
+
+def _pin(cpus) -> None:
+    """Run this process on `cpus` only; keep its CPUs if the kernel refuses them."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _child(out: int, cpu: int, p: Pattern, trials, seed, first_trial, flip_cap):
+    """In a forked child: write `_play`'s four sums, or E and its ValueError's message, to fd `out`; never returns.
+
+    The child runs on `cpu` alone.  Its exit status is 0 only once the whole text is written.
+    """
+    try:
+        _pin({cpu})
+        try:
+            text = " ".join(map(str, _play(p, trials, seed, first_trial, flip_cap)))
+        except ValueError as exc:
+            text = f"E{exc}"
+        data = text.encode()
+        while data:
+            data = data[os.write(out, data):]
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _read(fd: int) -> str:
+    """Everything written to the pipe whose read end is fd, up to its end."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 12):
+        chunks.append(chunk)
+    return b"".join(chunks).decode()
+
+
+def _result(text: str, status: int, lo: int, hi: int):
+    """The four sums that the child playing trials [lo, hi) wrote as `text` and
+    ended with wait status `status`; raises the child's ValueError."""
+    if status == 0 and text.startswith("E"):
+        raise ValueError(text[1:])
+    if status != 0:
+        raise RuntimeError(f"the process playing trials {lo} to {hi - 1} ended without a result "
+                           f"(wait status {status})")
+    return tuple(map(int, text.split()))
+
+
 def play(p: Pattern, trials, seed, first_trial, flip_cap):
     """Play `trials` games waiting for p; returns (total_flips, total_sq, min_flips, max_flips).
 
     Trial t of the call draws from substream first_trial + t.  Raises
     ValueError naming the first trial in order that would draw more than
-    flip_cap symbols; no trial draws past flip_cap.
+    flip_cap symbols; no trial draws past flip_cap.  The trials are split
+    over `_workers` processes (see the module docstring); the result and
+    the error do not depend on the split.
     """
+    w = _workers(trials, expected_wait_conway(p))
+    if w == 1:
+        return _play(p, trials, seed, first_trial, flip_cap)
+    cuts = [first_trial + trials * i // w for i in range(w + 1)]
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    children = {}  # pid -> (read end of its pipe, its trial range), in range order
+    try:
+        for cpu, lo, hi in zip(cpus[1:], cuts[1:-1], cuts[2:]):
+            fd, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(out)
+                break
+            if pid == 0:
+                _child(out, cpu, p, hi - lo, seed, lo, flip_cap)
+            os.close(out)
+            children[pid] = fd, lo, hi
+        _pin({cpus[0]})
+        parts = [_play(p, cuts[1] - cuts[0], seed, cuts[0], flip_cap)]
+        for pid, (fd, lo, hi) in list(children.items()):
+            text = _read(fd)
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            os.close(fd)
+            parts.append(_result(text, status, lo, hi))
+        rest = cuts[len(parts)]  # the ranges whose fork failed
+        if rest < cuts[-1]:
+            parts.append(_play(p, cuts[-1] - rest, seed, rest, flip_cap))
+    finally:
+        _pin(mask)
+        if children:  # only when play raises: signal costs 0.6 ms to import
+            from signal import SIGKILL
+        for pid, (fd, _, _) in children.items():
+            os.close(fd)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    totals, squares, mins, maxs = zip(*parts)
+    return sum(totals), sum(squares), min(mins), max(maxs)
+
+
+def _play(p: Pattern, trials, seed, first_trial, flip_cap):
+    """`play` in this process alone."""
     word = p.symbols
     s, c = len(p), p.alphabet_size
     e = expected_wait_conway(p)

@@ -16,8 +16,8 @@ own error.
 Importing this module loads what `expect` and `inspect` run (`pattern`,
 `automaton`, `exact`, `closed_form` and `jsontext`) and nothing else.
 Every other command imports its own modules when it runs, and
-`build_parser` imports argparse and `sequences`, whose family table the
-`seq` help and the `sum` flags read.  A command reads each function
+`build_parser` imports argparse and `kinds`, whose family table the `seq`
+help and the `sum` flags and choices read.  A command reads each function
 as an attribute of its module at the call, so a function swapped on its
 module is the one called.
 
@@ -33,6 +33,7 @@ is argparse's own.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from flipwait import automaton, exact
@@ -50,6 +51,17 @@ from flipwait.pattern import (
 )
 
 SCHEMA = 1
+# Most cells, (s + 1) * c, of the table `inspect` prints.  A cell costs about
+# 0.6 us in text and 0.2 us with --json (2 * 10**6 cells: 1.24 s and 0.39 s,
+# peak RSS 146 MB; in-process, best of 3, 2-vCPU shared host), so the largest
+# table allowed prints in about a second; a refused one is never built.
+INSPECT_CELLS = 2 * 10**6
+# Most bits that the values of a `count` or `seq` vector up to N may hold.  A
+# count at n is at most c**n and a family value at most 2**n (the families
+# count coin words), so the stored ints hold about log2(c) * N(N+1)/2 bits.
+# 2**30 bits are 128 MiB of digits: `count 0,1 --alphabet 3 --upto 36800`,
+# just under it, stores 9.4 * 10**8 bits in 0.12 s and peaks at 135 MB.
+VECTOR_BITS = 1 << 30
 
 
 def _approx(x: "Fraction | int") -> str:
@@ -126,10 +138,20 @@ def _listing(args, payload: dict, key: str, header: str, texts) -> int:
     return 0
 
 
+def _check_vector(what: str, upto: int, c: int) -> None:
+    """Refuse, before any work, a vector up to n = upto whose values, each at most c**n, may pass VECTOR_BITS bits."""
+    n = max(upto, 0)
+    bits = math.log2(c) * n * (n + 1) / 2
+    if bits > VECTOR_BITS:
+        raise ValueError(f"{what} up to n = {upto} may hold {bits:.4g} bits (a value at n is at most {c}**n), "
+                         f"more than the budget of {VECTOR_BITS} bits")
+
+
 def _cmd_count(args) -> int:
     from flipwait import counting
 
     p = parse(args.pattern, args.alphabet)
+    _check_vector(f"the counts of {p.text()}", args.upto, p.alphabet_size)
     vec = counting.count_first_occurrence(p, args.upto)
     return _listing(args, {"pattern": p.text(), "alphabet": p.alphabet_size, "upto": args.upto}, "counts",
                     f"first-occurrence counts for {p.text()}", vec.decimal_strings(check_first=args.json))
@@ -139,6 +161,7 @@ def _cmd_seq(args) -> int:
     from flipwait import sequences
 
     family = sequences.parse_family(args.family)
+    _check_vector(family.label(), args.upto, 2)
     texts = sequences.value_strings(family, args.upto, check_first=args.json)
     return _listing(args, {"family": family.label(), "upto": args.upto}, "values",
                     f"{family.label()} for n = 0..{args.upto}", texts)
@@ -146,9 +169,9 @@ def _cmd_seq(args) -> int:
 
 def _sum_params(args) -> tuple[int, ...]:
     """The corollary's parameters, from the flags named after its family's parameters."""
-    from flipwait import sequences
+    from flipwait.kinds import COROLLARIES, KINDS
 
-    names = sequences.KINDS[sequences.COROLLARIES[args.corollary]].names
+    names = KINDS[COROLLARIES[args.corollary]].names
     params = tuple(getattr(args, name) for name in names)
     if None in params:
         raise ValueError(f"{args.corollary} requires {' and '.join('--' + name for name in names)}")
@@ -235,6 +258,10 @@ def _cmd_scan(args) -> int:
 
 def _cmd_inspect(args) -> int:
     p = parse(args.pattern, args.alphabet)
+    cells = (len(p) + 1) * p.alphabet_size
+    if cells > INSPECT_CELLS:
+        raise ValueError(f"the automaton table of {p.text()} has {len(p) + 1} * {p.alphabet_size} = {cells} cells, "
+                         f"more than the inspect budget of {INSPECT_CELLS} cells")
     corr = sorted(exact.correlation_set(p))
     e = exact.expected_wait_conway(p)
     comp = complement(p).text() if p.alphabet_size == 2 else None
@@ -269,7 +296,7 @@ def build_parser():
     """The top-level argparse parser; its `commands` maps each command name to the command's subparser."""
     import argparse
 
-    from flipwait import sequences
+    from flipwait.kinds import COROLLARIES, KINDS
 
     class _Parser(argparse.ArgumentParser):
         """argparse exits 2 on usage errors; remap to 1 per the CLI contract."""
@@ -298,7 +325,7 @@ def build_parser():
     sp.add_argument("--upto", type=int, required=True, metavar="N")
     sp.set_defaults(func=_cmd_count)
 
-    labels = ", ".join(f"{name}:{','.join(kind.names)}" for name, kind in sequences.KINDS.items())
+    labels = ", ".join(f"{name}:{','.join(kind.names)}" for name, kind in KINDS.items())
     sp = sub.add_parser("seq", help=f"evaluate a sequence family ({labels})")
     sp.add_argument("family")
     sp.add_argument("--upto", type=int, required=True, metavar="N")
@@ -306,8 +333,8 @@ def build_parser():
     sp.set_defaults(func=_cmd_seq)
 
     sp = sub.add_parser("sum", help="verify a summation identity by exact partial sums")
-    sp.add_argument("corollary", choices=list(sequences.COROLLARIES))
-    for name in dict.fromkeys(n for kind in sequences.KINDS.values() for n in kind.names):
+    sp.add_argument("corollary", choices=list(COROLLARIES))
+    for name in dict.fromkeys(n for kind in KINDS.values() for n in kind.names):
         sp.add_argument(f"--{name}", type=int)
     sp.add_argument("--N", type=int, help="truncation (default max(200, 50*pattern length))")
     sp.add_argument("--json", action="store_true")

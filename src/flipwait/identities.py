@@ -45,7 +45,8 @@ from flipwait.closed_form import wait_alternating
 from flipwait.counting import count_first_occurrence
 from flipwait.pattern import Pattern
 from flipwait.recurrence import Recurrence
-from flipwait.sequences import COROLLARIES, KINDS, SeqFamily, _recurrence, base_index, check_least, series_shift
+from flipwait.kinds import COROLLARIES, KINDS
+from flipwait.sequences import SeqFamily, _recurrence, base_index, check_least, series_shift
 
 CorollaryParams = tuple[int, ...]
 

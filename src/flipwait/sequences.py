@@ -14,9 +14,10 @@ Families and their CLI labels:
   fib-tilde:k,m  seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + 2a(n-k-2) - a(n-k-m-2)
   alt:s        counts for the alternating pattern of length s; seed at n = s
 
-`KINDS` is the one place that holds the facts other modules need about a
-kind: its parameter names and their least value, where its seed sits, its
-series shift and the summation identity (corollary) it enters; the checks,
+`KINDS`, which the leaf module `kinds` holds and this module re-exports, is
+the one place that holds the facts other modules need about a kind: its
+parameter names and their least value, where its seed sits, its series
+shift and the summation identity (corollary) it enters; the checks,
 `base_index`, `series_shift`, the corollaries, the CLI's flags and help
 and the count-family sweep all read it.  Each kind's recurrence is defined
 twice, on purpose: `_recurrence` and `gf_polynomials`, which tests compare
@@ -32,31 +33,15 @@ from __future__ import annotations
 
 import threading
 from itertools import count
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
+from flipwait import kinds
 from flipwait._record import Frozen
 from flipwait.recurrence import Recurrence
 
 
-class Kind(NamedTuple):
-    """What a family kind takes and where it sits; `KINDS` holds one per kind."""
-
-    names: tuple[str, ...]  # parameter names, in label order
-    least: int  # least value of every parameter
-    seed: int  # base index less the sum of the parameters
-    shift: int  # series_shift: series index less family index
-    corollary: str  # id of the summation identity the family enters
-
-
-KINDS = {
-    "fib": Kind(("k",), 1, -1, 1, "id1"),
-    "fib-bar": Kind(("k",), 1, -1, 2, "id1bar"),
-    "fib2": Kind(("k", "m"), 0, -1, 2, "id2"),
-    "fib-tilde": Kind(("k", "m"), 0, -1, 3, "id3"),
-    "alt": Kind(("s",), 1, 0, 0, "alt"),
-}
-# corollary id -> family kind
-COROLLARIES = {kind.corollary: name for name, kind in KINDS.items()}
+# the family table lives in the leaf module `kinds`; every import of these names from here stays valid
+Kind, KINDS, COROLLARIES = kinds.Kind, kinds.KINDS, kinds.COROLLARIES
 
 
 def check_least(who: str, names: tuple[str, ...], params: tuple[int, ...], least: int):

@@ -5,16 +5,17 @@ A sanity check that shares nothing with the exact machinery beyond E(S):
 `_simpy.play` sizes its rounds' rows from `expected_wait_conway`.  The
 generator is SplitMix64 with one substream per trial (see flipwait._simpy
 for the exact scheme), so reports are bit-identical for a given (pattern,
-trials, seed) on every platform, batch split, or thread count.  Trials
-accumulate into exact integer sums and only the final mean and standard
-error are floats.
+trials, seed) on every platform, batch split, or thread or process count.
+Trials accumulate into exact integer sums and only the final mean and
+standard error are floats.
 
 One kernel runs: `_simpy.play` plays a block of games in lockstep, draws
 each round's symbols for every live game on packed-integer lanes, and finds
 where every game ends with whole-int operations on the round's symbols,
 carrying each survivor's last s-1 symbols into the next round instead of
 redrawing them; it returns the same sums, bit for bit, as the
-one-draw-at-a-time loop the tests keep as its reference.
+one-draw-at-a-time loop the tests keep as its reference, and spreads a
+call's trials over one forked process per CPU the process may use.
 
 No game draws more than max(FLIP_CAP, 64*E(S)) symbols.  From every
 automaton state the expected remaining wait is at most E, so by Markov's
@@ -24,12 +25,13 @@ decays like e**-64).  A fixed 10**7 cap is overrun by coin runs of length
 22 and up, whose E is about 8.4 million.
 
 A run whose expected draws, trials * E(S), pass SIM_BUDGET is refused before
-the first draw.  The kernel's fastest measured rate is about 1.3 * 10**7
-draws per second (75-115 ns per draw for a few games with a large E on a
-2-vCPU shared host; 120-270 ns for the benchmark's many short games), so a
-refused run would take about 46 s at the fastest rate and one to three
-minutes at the benchmark's.  The largest runs of the tests, the README and the
-benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
+the first draw.  The kernel's fastest measured rate on one core is about
+1.3 * 10**7 draws per second (75-115 ns per draw for a few games with a
+large E on a 2-vCPU shared host; 120-270 ns for the benchmark's many short
+games), so a refused run would take about 46 s at the fastest rate and one
+to three minutes at the benchmark's, divided by the processes that
+`_simpy.play` spreads it over.  The largest runs of the tests, the README
+and the benchmark expect about 1.7 * 10**7 draws (`H`*22, 2 trials).
 """
 
 from __future__ import annotations

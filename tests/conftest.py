@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -25,3 +26,15 @@ def _drain(texts):
 @pytest.fixture
 def drain():
     return _drain
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, running or ended but not reaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = "a running child" if pid == 0 else f"child {pid}, unreaped with wait status {status}"
+    pytest.fail(f"the test left {left}")

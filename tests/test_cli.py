@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flipwait import cli, counting, jsontext, recurrence, sequences
+from flipwait import automaton, cli, counting, jsontext, recurrence, sequences
 from flipwait.cli import main
 from flipwait.pattern import PatternError, parse
 from test_cli_docs import _examples as _readme_examples
@@ -623,3 +623,72 @@ def test_joined_arrays_print_the_bytes_of_json_dumps(capsys):
     for digits in (["7"], ["-5", "0", "12"]):
         cli._emit(payload, "values", digits)
         assert capsys.readouterr().out == json.dumps({**payload, "values": digits}, indent=2) + "\n"
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the first piece of work a command does past its budget check."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_inspect_refuses_a_table_over_its_budget_before_building_it(capsys, monkeypatch):
+    budget = cli.INSPECT_CELLS
+    assert budget == 2 * 10**6
+    monkeypatch.setattr(automaton, "build", _reached)
+    with pytest.raises(_Reached):  # 2 states * 10**6 symbols: exactly the budget
+        main(["inspect", "0", "--alphabet", str(budget // 2)])
+    capsys.readouterr()
+    assert run_cli(capsys, "inspect", "0,0", "--alphabet", "666667") == (  # 3 * 666667 = budget + 1
+        1, "", "flipwait: error: the automaton table of 0,0 has 3 * 666667 = 2000001 cells, "
+               "more than the inspect budget of 2000000 cells\n")
+    assert run_cli(capsys, "inspect", "0,5", "--alphabet", "99999999999999999999", "--json")[:2] == (1, "")
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_inspect_budget_boundary_on_a_real_table(capsys, monkeypatch, flag):
+    want = run_cli(capsys, "inspect", "HTH", *flag)  # 4 states * 2 symbols
+    monkeypatch.setattr(cli, "INSPECT_CELLS", 8)
+    assert run_cli(capsys, "inspect", "HTH", *flag) == want
+    monkeypatch.setattr(cli, "INSPECT_CELLS", 7)
+    assert run_cli(capsys, "inspect", "HTH", *flag)[:2] == (1, "")
+
+
+def test_inspect_of_a_huge_table_fails_in_small_memory():
+    # 3 * 10**7 cells would need gigabytes; the refusal needs none (fresh process, 1 GiB address space)
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "flipwait.cli", "inspect", "0,1", "--alphabet", "10000000"],
+                          env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("flipwait: error: the automaton table of 0,1 has 3 * 10000000 = 30000000 cells, "
+                           "more than the inspect budget of 2000000 cells\n")
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_count_and_seq_refuse_a_vector_over_the_budget_before_counting(capsys, monkeypatch, flag):
+    # on coins every value at n is at most 2**n: N(N+1)/2 bits, 1,073,720,970 at N = 46340 and
+    # 1,073,767,311 at N = 46341, either side of 2**30
+    assert cli.VECTOR_BITS == 1 << 30
+    monkeypatch.setattr(counting, "count_first_occurrence", _reached)
+    monkeypatch.setattr(sequences, "value_strings", _reached)
+    for argv in (["count", "HH"], ["seq", "fib:2"]):
+        with pytest.raises(_Reached):
+            main([*argv, "--upto", "46340", *flag])
+    assert run_cli(capsys, "count", "HH", "--upto", "46341", *flag) == (
+        1, "", "flipwait: error: the counts of HH up to n = 46341 may hold 1.074e+09 bits "
+               "(a value at n is at most 2**n), more than the budget of 1073741824 bits\n")
+    assert run_cli(capsys, "seq", "fib:2", "--upto", "46341", *flag) == (
+        1, "", "flipwait: error: fib:2 up to n = 46341 may hold 1.074e+09 bits "
+               "(a value at n is at most 2**n), more than the budget of 1073741824 bits\n")
+    # a die count's bound grows with log2(c): 3**n at c = 3
+    code, out, err = run_cli(capsys, "count", "0,1", "--alphabet", "3", "--upto", "99999999999999999999", *flag)
+    assert (code, out) == (1, "") and "(a value at n is at most 3**n)" in err
+    # a negative N passes the check and gets its own error from the counting
+    with pytest.raises(_Reached):
+        main(["count", "HH", "--upto", "-99999999999999999999", *flag])

@@ -154,7 +154,7 @@ def test_a_fresh_import_loads_only_what_runs():
     loaded = _fresh_imports("import flipwait.cli\nflipwait.cli.main(['expect', 'HTH'])")
     assert "flipwait.exact" in loaded and "argparse" in loaded
     unused = {"flipwait.conjectures", "flipwait.counting", "flipwait.identities", "flipwait.simulate",
-              "flipwait._simpy", "dataclasses", "json", "csv"}
+              "flipwait._simpy", "flipwait.sequences", "flipwait.recurrence", "dataclasses", "json", "csv"}
     assert not loaded & unused
 
 

@@ -1,5 +1,8 @@
 
+import os
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -353,3 +356,129 @@ def test_simulation_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# The fan-out: `play` splits its trials over one process per CPU.  These tests
+# fake 1, 2 or 3 usable CPUs and lower SPLIT_DRAWS, so that small runs fork.
+def _fake_cpus(monkeypatch, n: int) -> list:
+    """Give `_simpy` n usable CPUs and one process per expected draw; returns the pids forked, one per fork."""
+    monkeypatch.setattr(_simpy.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(_simpy, "SPLIT_DRAWS", 1)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(_simpy.os, "fork", counted)
+    return forks
+
+
+FANOUT_CASES = [
+    ((0, 1, 0), 2, 3001, 11, 0),  # HTH
+    ((0, 0), 2, 500, 2**64 - 1, 2**40 + 7),  # HH from a far first trial
+    ((2, 1, 0), 3, 777, 5, 3),
+    ((5, 5), 6, 120, 99, 1000),
+    ((256,), 257, 9, 1, 0),  # two-byte residues
+    ((0, 1), 2, 1, 3, 5),  # fewer trials than CPUs
+    ((0, 1), 2, 2, 3, 5),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("word,c,trials,seed,first", FANOUT_CASES)
+def test_fanout_report_equals_one_process(monkeypatch, cpus, word, c, trials, seed, first):
+    p = Pattern(word, c)
+    alone = _simpy._play(p, trials, seed, first, FLIP_CAP)
+    forks = _fake_cpus(monkeypatch, cpus)
+    assert _simpy.play(p, trials, seed, first, FLIP_CAP) == alone
+    assert len(forks) == min(cpus, trials) - 1
+
+
+def test_workers_give_each_process_split_draws(monkeypatch):
+    # HTH: E = 10, so 8,000 trials expect exactly 2 * SPLIT_DRAWS draws
+    monkeypatch.setattr(_simpy.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert _simpy.SPLIT_DRAWS == 4 * 10**4
+    assert [_simpy._workers(n, 10) for n in (3999, 4000, 7999, 8000, 11999, 12000, 10**6)] == [1, 1, 1, 2, 2, 3, 3]
+    assert _simpy._workers(2, 10**9) == 2
+
+
+@pytest.mark.parametrize("cpus, trials", [(2, 40), (3, 60)])
+def test_fanout_flip_cap_names_the_first_trial_over_it(monkeypatch, cpus, trials):
+    # every cap from the shortest game to the longest: the trial named must be the reference's
+    word, seed, first = (0, 1, 1), 77, 1000
+    flat = _flat(word, 2)
+    lengths = [_reference_run_batch(flat, 3, 2, 1, seed, first + t, FLIP_CAP)[0] for t in range(trials)]
+    cuts = [trials * i // cpus for i in range(cpus + 1)]
+    longest = [max(lengths[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    # so some caps fail in the parent's range, and some pass it and fail in every child's range
+    assert min(lengths) < longest[0] < min(longest[1:])
+    _fake_cpus(monkeypatch, cpus)
+    for cap in range(min(lengths), max(lengths) + 1):
+        want = _outcome(_reference_run_batch, flat, 3, 2, trials, seed, first, cap)
+        assert _outcome(_simpy.play, Pattern(word, 2), trials, seed, first, cap) == want
+
+
+def test_fanout_does_not_fork_while_a_second_thread_runs(monkeypatch):
+    p = Pattern((0, 1, 0), 2)
+    alone = _simpy._play(p, 3000, 4, 0, FLIP_CAP)
+    forks = _fake_cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _simpy.play(p, 3000, 4, 0, FLIP_CAP) == alone
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+    assert _simpy.play(p, 3000, 4, 0, FLIP_CAP) == alone and len(forks) == 1
+
+
+@pytest.mark.parametrize("fails_from", [0, 1])
+def test_fanout_plays_the_ranges_it_cannot_fork_in_the_parent(monkeypatch, fails_from):
+    p = Pattern((0, 1, 1), 2)
+    alone = _simpy._play(p, 3000, 8, 17, FLIP_CAP)
+    forks = _fake_cpus(monkeypatch, 3)
+    fork = _simpy.os.fork
+
+    def failing():
+        if len(forks) >= fails_from:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(_simpy.os, "fork", failing)
+    assert _simpy.play(p, 3000, 8, 17, FLIP_CAP) == alone
+    assert len(forks) == fails_from
+
+
+def test_fanout_names_the_range_of_a_child_that_ends_without_a_result(monkeypatch):
+    parent, play = os.getpid(), _simpy._play
+
+    def dies_in_a_child(p, trials, seed, first_trial, cap):
+        if os.getpid() != parent:
+            os._exit(3)
+        return play(p, trials, seed, first_trial, cap)
+
+    _fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(_simpy, "_play", dies_in_a_child)
+    with pytest.raises(RuntimeError, match=r"^the process playing trials 1050 to 1099 ended without a result"):
+        _simpy.play(Pattern((0, 1), 2), 100, 1, 1000, FLIP_CAP)
+
+
+def test_fanout_reaps_its_children_when_the_parent_is_interrupted(monkeypatch):
+    # the children would sleep for a minute; play kills and reaps them at once
+    parent = os.getpid()
+
+    def interrupted(p, trials, seed, first_trial, cap):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    _fake_cpus(monkeypatch, 3)
+    monkeypatch.setattr(_simpy, "_play", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _simpy.play(Pattern((0, 1), 2), 100, 1, 0, FLIP_CAP)
+    assert time.monotonic() - start < 30
