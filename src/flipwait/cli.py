@@ -24,11 +24,20 @@ module is the one called.
 The argument parser is built on the first `main` call and reused by every
 later call in the same process, so an in-process caller pays for building
 it once; importing this module builds nothing.  When the first argument
-names a command, `main` hands the rest straight to that command's
-subparser.  The top-level parser parses only what that route does not: no
-argument list (sys.argv is read), no command or an unknown one, and
-arguments the subparser leaves over.  So every usage error and help text
-is argparse's own.
+names a command, `main` first parses the rest directly: the command's
+subparser records the arguments argparse makes for it, and its
+`parse_plain` reads them to give the Namespace argparse would give for a
+plain argument list (every option named in full and at most once, every
+value one token that does not start with "-" and that its type and
+choices accept, every required argument given, nothing left over), or
+None.  Any other list goes to the subparser's parse_known_args, and the
+top-level parser parses what that route does not: no argument list
+(sys.argv is read), no command or an unknown one, and arguments the
+subparser leaves over.  So `build_parser` is the one place that declares
+a flag, and every usage error and help text is argparse's own.
+
+`sum` refuses, before any work, a series whose stored masses may pass
+VECTOR_BITS bits or whose estimated work passes SUM_WORK digit operations.
 """
 
 from __future__ import annotations
@@ -56,12 +65,22 @@ SCHEMA = 1
 # peak RSS 146 MB; in-process, best of 3, 2-vCPU shared host), so the largest
 # table allowed prints in about a second; a refused one is never built.
 INSPECT_CELLS = 2 * 10**6
-# Most bits that the values of a `count` or `seq` vector up to N may hold.  A
+# Most bits that the values of a `count` or `seq` vector up to N, or the
+# masses a `sum` series stores (`identities.corollary_bits`), may hold.  A
 # count at n is at most c**n and a family value at most 2**n (the families
 # count coin words), so the stored ints hold about log2(c) * N(N+1)/2 bits.
 # 2**30 bits are 128 MiB of digits: `count 0,1 --alphabet 3 --upto 36800`,
 # just under it, stores 9.4 * 10**8 bits in 0.12 s and peaks at 135 MB.
 VECTOR_BITS = 1 << 30
+# Most estimated work of one `sum` run, in operations on one 30-bit digit of an
+# int: `identities.corollary_work` plus the decimal strings of the fractions it
+# prints in full, 2 * D * D for each (D the digits of an N-bit int; int -> str
+# is quadratic).  Runs of 1-50 s on both series routes, with N up to 3 * 10**6
+# and d up to 10**5, took 1.1-2.3 ns per estimated operation (fresh processes,
+# 2-vCPU shared host), so a run at the budget takes 45-90 s: about a minute,
+# the yardstick of simulate's SIM_BUDGET.  `sum alt --s 700`, just under it,
+# took 50 s and `sum id1 --k 2 --N 3000000`, just over it, 44 s.
+SUM_WORK = 4 * 10**10
 
 
 def _approx(x: "Fraction | int") -> str:
@@ -178,11 +197,29 @@ def _sum_params(args) -> tuple[int, ...]:
     return params
 
 
+def _sum_work(which: str, params: tuple[int, ...], N: int, json: bool) -> float:
+    """Estimated work of a `sum` run in digit operations: the series and its fractions, and their printing."""
+    from flipwait import identities
+
+    digits = max(N, 0) / 30 + 1
+    # text prints the partial sum in full, JSON also the gap and the tail bound
+    return identities.corollary_work(which, params, N) + (6 if json else 2) * digits * digits
+
+
 def _cmd_sum(args) -> int:
     from flipwait import identities
 
     params = _sum_params(args)
     N = args.N if args.N is not None else identities.default_truncation(args.corollary, params)
+    # refused before any work; the bits, which need no recurrence, bound d before corollary_work builds it
+    what = f"{args.corollary}{params} at N = {N}"
+    bits = identities.corollary_bits(args.corollary, params, N)
+    if bits > VECTOR_BITS:
+        raise ValueError(f"{what} may hold {bits:.4g} bits of masses, more than the budget of {VECTOR_BITS} bits")
+    work = _sum_work(args.corollary, params, N, args.json)
+    if work > SUM_WORK:
+        raise ValueError(f"{what} needs an estimated {work:.3g} digit operations, "
+                         f"more than the sum budget of {SUM_WORK:.3g} (about a minute)")
     check = identities.verify_corollary(args.corollary, params, N)
     if args.json:
         _emit({
@@ -299,7 +336,67 @@ def build_parser():
     from flipwait.kinds import COROLLARIES, KINDS
 
     class _Parser(argparse.ArgumentParser):
-        """argparse exits 2 on usage errors; remap to 1 per the CLI contract."""
+        """argparse exits 2 on usage errors; remap to 1 per the CLI contract.
+
+        Of every argument added with the store or store_true action, `options`
+        maps each option string to its action and `positionals` lists the
+        positionals in order: what `parse_plain` reads.
+        """
+
+        def __init__(self, *args, **kwargs):
+            self.options, self.positionals = {}, []
+            super().__init__(*args, **kwargs)
+
+        def add_argument(self, *args, **kwargs):
+            action = super().add_argument(*args, **kwargs)
+            if kwargs.get("action", "store") in ("store", "store_true"):
+                self.options.update(dict.fromkeys(action.option_strings, action))
+                if not action.option_strings:
+                    self.positionals.append(action)
+            return action
+
+        def parse_plain(self, tokens):
+            """self.parse_known_args(tokens)[0] for a plain argument list, None for any other.
+
+            The arguments in `options` and `positionals` are read as argparse
+            declared them: option strings, dest, type, choices, default,
+            required and the store_true constant; `func` is the parser's
+            default.  Plain means: every option is one of those option strings
+            in full and is given at most once; every value and positional is
+            one token that does not start with "-" and that the argument's type
+            and choices accept; every required argument and positional is given
+            and nothing is left over.  Help, abbreviations, --opt=value, "--",
+            negative numbers and every usage error are not plain.
+            """
+            given = {}
+            positionals = iter(self.positionals)
+            tokens = iter(tokens)
+            for token in tokens:
+                action = self.options.get(token) if token.startswith("-") else next(positionals, None)
+                if action is None or action in given:
+                    return None
+                if action.nargs == 0:  # store_true
+                    given[action] = action.const
+                    continue
+                if action.option_strings:
+                    token = next(tokens, "-")
+                    if token.startswith("-"):
+                        return None
+                try:
+                    value = token if action.type is None else action.type(token)
+                except (TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+                given[action] = value
+            actions = (*self.positionals, *self.options.values())
+            for action in actions:
+                if action.required and action not in given:
+                    return None
+            args = argparse.Namespace()
+            vars(args).update({action.dest: given.get(action, action.default) for action in actions},
+                              func=self.get_default("func"))
+            return args
 
         def error(self, message):
             self.print_usage(sys.stderr)
@@ -369,15 +466,19 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    command = _parser.commands.get(argv[0]) if argv else None
     args = None
-    if argv and argv[0] in _parser.commands:
-        # what the top-level parser's subparsers action does with argv[1:]
-        args, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
-        args.cmd = argv[0]
-        if rest:
-            args = None
+    if command is not None:
+        args = command.parse_plain(argv[1:])
+        if args is None:
+            # what the top-level parser's subparsers action does with argv[1:]
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                args = None
     if args is None:  # usage, help and "unrecognized arguments" come from the top-level parser
         args = _parser.parse_args(argv)
+    else:
+        args.cmd = argv[0]
     try:
         return args.func(args)
     except (PatternError, ValueError) as exc:

@@ -66,6 +66,11 @@ CorollaryParams = tuple[int, ...]
 _JUMP_PER_DEGREE = 40
 
 
+def _takes_horner(N: int, d: int) -> bool:
+    """Whether the series to N of masses obeying a recurrence of degree d takes the Horner pass."""
+    return N < _JUMP_PER_DEGREE * d
+
+
 def _series(masses: list[int], c: int, s: int, N: int) -> tuple[Fraction, Fraction]:
     """Partial sum of n * masses[n] / c**n over n = 0..N and its tail bound.
 
@@ -108,7 +113,7 @@ def _recurrent_series(head, rec: Recurrence, n0: int, c: int, s: int, N: int) ->
     q = rec.denominator()
     d = len(q) - 1
     qh, dqh = _horner(q, c)
-    if N < _JUMP_PER_DEGREE * d or not qh:
+    if _takes_horner(N, d) or not qh:
         masses = list(head[:N + 1])
         rec.extend(masses, N + 1)
         return _series(masses, c, s, N)
@@ -133,7 +138,7 @@ def _pattern_series(p: Pattern, N: int) -> tuple[Fraction, Fraction]:
     s = len(p)
     # Q = D(z) of degree s and the recurrence holds from n = s + 1: the jump
     # needs the first 2s counts, the Horner pass all N + 1
-    counts = count_first_occurrence(p, N if N < _JUMP_PER_DEGREE * s else 2 * s - 1)
+    counts = count_first_occurrence(p, N if _takes_horner(N, s) else 2 * s - 1)
     return _recurrent_series(counts.counts, counts.recurrence, s + 1, p.alphabet_size, s, N)
 
 
@@ -199,6 +204,15 @@ _TARGETS = {
 }
 
 
+def _family(which: str, params: CorollaryParams) -> SeqFamily:
+    """The sequence family of a corollary id; every parameter of an identity is at least 1."""
+    kind = COROLLARIES.get(which)
+    if kind is None:
+        raise ValueError(f"unknown corollary {which!r} (expected one of {', '.join(COROLLARIES)})")
+    check_least(which, KINDS[kind].names, params, 1)
+    return SeqFamily(kind, tuple(params))
+
+
 def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fraction]:
     """Sequence family and closed-form series target for a corollary id.
 
@@ -210,16 +224,50 @@ def corollary_family(which: str, params: CorollaryParams) -> tuple[SeqFamily, Fr
 
     Every parameter of an identity is at least 1.
     """
-    kind = COROLLARIES.get(which)
-    if kind is None:
-        raise ValueError(f"unknown corollary {which!r} (expected one of {', '.join(COROLLARIES)})")
-    check_least(which, KINDS[kind].names, params, 1)
-    return SeqFamily(kind, tuple(params)), Fraction(_TARGETS[which](*params))
+    return _family(which, params), Fraction(_TARGETS[which](*params))
 
 
 def default_truncation(which: str, params: CorollaryParams) -> int:
-    family, _ = corollary_family(which, params)
-    return max(200, 50 * _family_length(family))
+    return max(200, 50 * _family_length(_family(which, params)))
+
+
+def corollary_bits(which: str, params: CorollaryParams, N: int) -> int:
+    """Most bits of the masses verify_corollary(which, params, N) holds at once.
+
+    With d the family length, the head holds the masses through n = 2d and
+    the Horner pass (`_takes_horner`) every mass through N.  The masses
+    below d are 0, and a mass at n >= d is at most 2**(n - d), so n - d + 1
+    bits: it counts coin words of length n that end in a pattern of length
+    d.
+    """
+    d = _family_length(_family(which, params))
+    m = max(N, 2 * d) if _takes_horner(N, d) else 2 * d
+    return (m - d + 1) * (m - d + 2) // 2
+
+
+def corollary_work(which: str, params: CorollaryParams, N: int) -> float:
+    """Estimated work of verify_corollary(which, params, N), in operations on one 30-bit digit of an int.
+
+    d is the family length, which is also the degree of its recurrence, and
+    D = N/30 + 1 the digits of an N-bit int.  The head steps d masses over
+    the recurrence's taps on ints of up to d bits: d * taps * (d/30 + 1).
+    The Horner pass (`_takes_horner`) steps N masses and two numerators on
+    ints of up to N bits: N * (taps + 2) * (N/60 + 1).  The jump squares a
+    d-term polynomial log2 N times, its coefficients growing to N bits, and
+    the last squarings dominate under Karatsuba: d * d * (D**1.585 + log2 N).
+    The result's fractions take quadratic gcds of N-bit ints: 2 * D * D.
+    Counting the taps builds the recurrence, O(d).
+    """
+    family = _family(which, params)
+    d = _family_length(family)
+    taps = len(_recurrence(family).taps)
+    n = max(N, 0)
+    digits = n / 30 + 1
+    if _takes_horner(n, d):
+        route = n * (taps + 2) * (n / 60 + 1)
+    else:
+        route = d * d * (digits**1.585 + n.bit_length())
+    return d * taps * (d / 30 + 1) + route + 2 * digits * digits
 
 
 def verify_corollary(which: str, params: CorollaryParams, N: int) -> CorollaryCheck:

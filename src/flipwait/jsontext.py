@@ -4,8 +4,8 @@ With `indent` set, CPython's json module formats in Python, one generator
 step per value and one escape pass per string.  `dumps` formats the
 payloads this package prints one value at a time: strings and keys through
 the C escape function json.dumps itself calls, taken from `_json` as
-`json.encoder` takes it, a list of plain ints in one join.  Importing the
-json package would cost more than this module does.
+`json.encoder` takes it, a list of plain ints from the list's repr in one
+replace.  Importing the json package would cost more than this module does.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def dumps(x, indent: str = "\n") -> str:
             return "[]"
         # type(), not isinstance(): json writes a bool as true, str() as True
         if set(map(type, x)) == {int}:
-            items = map(str, x)
-        else:
-            items = [dumps(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+            # the list's repr separates its int reprs by ", "
+            return "[" + inner + repr(x)[1:-1].replace(", ", "," + inner) + indent + "]"
+        return "[" + inner + ("," + inner).join([dumps(v, inner) for v in x]) + indent + "]"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -16,6 +16,9 @@ HEADS = 0
 TAILS = 1
 
 COIN_LETTERS = "HT"  # how the coin's symbols 0 and 1 are written
+# what `parse` reads as each coin symbol: every character whose upper() is a
+# coin letter, which for "H" and "T" is the letter and its lower case alone
+_COIN_SYMBOLS = {ch: sym for sym, letter in enumerate(COIN_LETTERS) for ch in (letter, letter.lower())}
 
 
 class PatternError(ValueError):
@@ -67,16 +70,11 @@ def parse(text: str, alphabet_size: int = 2) -> Pattern:
     if not stripped:
         raise PatternError("empty pattern")
     if alphabet_size == 2:
-        symbols = []
-        for ch in stripped:
-            up = ch.upper()
-            if up == "H":
-                symbols.append(HEADS)
-            elif up == "T":
-                symbols.append(TAILS)
-            else:
-                raise PatternError(f"unknown coin symbol {ch!r} (expected H or T)")
-        return Pattern(tuple(symbols), 2)
+        try:
+            symbols = tuple([_COIN_SYMBOLS[ch] for ch in stripped])
+        except KeyError as exc:  # the first character that is not a coin letter
+            raise PatternError(f"unknown coin symbol {exc.args[0]!r} (expected H or T)") from None
+        return Pattern(symbols, 2)
     symbols = []
     for part in stripped.split(","):
         part = part.strip()

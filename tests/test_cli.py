@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -447,6 +448,8 @@ DISPATCH_TABLE = [
     ["scan", "--max-len", "2", "--threads", "2"], ["expect", "HT", "--bogus"],
     ["expect", "HT", "--alph", "3"], ["expect", "HT", "--alphabet=3"],
     ["count", "HT", "--upto", "x"], ["expect", "HT", "--method", "bogus"],
+    ["expect", "HT", "--json", "--json"], ["count", "HT", "--upto", "-1"], ["expect", ""],
+    ["expect", "--alphabet", "3", "0,1,0"], ["sum", "id1", "--k", "2", "--k", "3"], ["expect", "HT", "-h"],
 ]
 
 
@@ -455,6 +458,31 @@ def test_main_matches_the_top_level_parser(capsys, argv):
     # main hands argv[1:] to the command's subparser; leftovers, help and usage errors
     # must still come out as the top-level parser gives them
     assert _outcome(capsys, argv) == _top_level_outcome(capsys, argv)
+
+
+# one plain argv per command, options before positionals and every store option given
+PLAIN_ARGV = [
+    ["expect", "--method", "conway", "--alphabet", "3", "0,1,0", "--json"],
+    ["count", "--upto", "5", "--json", "HT", "--alphabet", "2"],
+    ["seq", "--json", "fib:2", "--upto", "4"],
+    ["sum", "--N", "300", "--k", "2", "id1", "--json"],
+    ["simulate", "--seed", "1", "--trials", "3", "--pattern", "0,1", "--alphabet", "3", "--json"],
+    ["scan", "--max-len", "3", "--json", "--out", "{tmp}/scan.json", "--csv", "{tmp}/scan.csv"],
+    ["inspect", "--json", "HTT", "--alphabet", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", [*(argv.split() for argv, _ in _readme_examples()), *PLAIN_ARGV], ids=" ".join)
+def test_plain_argv_takes_the_direct_route(capsys, monkeypatch, tmp_path, argv):
+    argv = [token.format(tmp=tmp_path) for token in argv]
+    want = _top_level_outcome(capsys, argv)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"argparse parsed the plain argv {argv}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert _outcome(capsys, argv) == want
+    assert want[0] == 0
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
@@ -541,6 +569,89 @@ def test_sum_at_large_n_runs_in_small_memory():
     code, certified, maxrss_kb = done.stdout.split()
     assert (code, certified) == ("0", "True")
     assert int(maxrss_kb) < 64 * 1024
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """A stand-in for identities.verify_corollary; the list of its calls."""
+    from fractions import Fraction
+
+    from flipwait import identities
+
+    calls = []
+
+    def verify(which, params, N):
+        calls.append((which, params, N))
+        return identities.CorollaryCheck(which, params, N, Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+
+    monkeypatch.setattr(identities, "verify_corollary", verify)
+    return calls
+
+
+# README's sums, the benchmark's largest series sums, and two runs of a few seconds
+@pytest.mark.parametrize("argv", [
+    *(argv.split() for argv, _ in _readme_examples() if argv.startswith("sum ")),
+    ["sum", "id1", "--k", "6", "--N", "4000", "--json"], ["sum", "alt", "--s", "12", "--N", "4000", "--json"],
+    ["sum", "id2", "--k", "5", "--m", "5", "--N", "14000", "--json"],
+    ["sum", "id3", "--k", "5", "--m", "5", "--N", "20000", "--json"],
+    ["sum", "id1", "--k", "300"], ["sum", "alt", "--s", "400"], ["sum", "alt", "--s", "400", "--json"],
+], ids=" ".join)
+def test_sum_within_the_budgets_runs(capsys, verify_calls, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(verify_calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sum", "alt", "--s", "99999999999999999999"],
+     "alt(99999999999999999999,) at N = 4999999999999999999950 may hold 5e+39 bits of masses, "
+     "more than the budget of 1073741824 bits"),
+    (["sum", "id1", "--k", "2", "--N", "99999999999999999999"],
+     "id1(2,) at N = 99999999999999999999 needs an estimated 4.44e+37 digit operations, "
+     "more than the sum budget of 4e+10 (about a minute)"),
+    (["sum", "alt", "--s", "2000"],
+     "alt(2000,) at N = 100000 needs an estimated 1.54e+12 digit operations, "
+     "more than the sum budget of 4e+10 (about a minute)"),
+])
+def test_sum_over_a_budget_is_refused_before_any_work(argv, message):
+    # the first would build a head of [0] * s, s zeros, and the others run for hours: each runs in a
+    # fresh process with 1 GiB of address space and a stand-in verify_corollary that exits 9
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = ("import sys\n"
+              "from flipwait import cli, identities\n"
+              "identities.verify_corollary = lambda *args: sys.exit(9)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"flipwait: error: {message}\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_sum_work_budget_boundary(capsys, verify_calls, json_flag):
+    # the largest N whose estimate is within SUM_WORK runs; one more is refused
+    low, high = 1, 10**7
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if cli._sum_work("id1", (2,), mid, bool(json_flag)) <= cli.SUM_WORK else (low, mid)
+    assert run_cli(capsys, "sum", "id1", "--k", "2", "--N", str(low), *json_flag)[0] == 0
+    assert verify_calls == [("id1", (2,), low)]
+    code, out, err = run_cli(capsys, "sum", "id1", "--k", "2", "--N", str(high), *json_flag)
+    assert (code, out) == (1, "") and "more than the sum budget" in err
+    assert len(verify_calls) == 1
+
+
+def test_sum_bits_budget_boundary(capsys, verify_calls):
+    # id1bar:k has length d = k + 1, and its head holds masses through 2d: (d + 1)(d + 2)/2 bits at most
+    d = max(d for d in range(46000, 47000) if (d + 1) * (d + 2) // 2 <= cli.VECTOR_BITS)
+    assert run_cli(capsys, "sum", "id1bar", "--k", str(d - 1), "--N", "10")[0] == 0
+    assert verify_calls == [("id1bar", (d - 1,), 10)]
+    code, out, err = run_cli(capsys, "sum", "id1bar", "--k", str(d), "--N", "10")
+    assert (code, out) == (1, "") and "bits of masses, more than the budget" in err
+    assert len(verify_calls) == 1
 
 
 def test_count_still_stops_at_the_digit_limit(capsys):

@@ -335,3 +335,22 @@ def test_id1_with_unit_k_is_geometric_sum_at_large_n():
     assert check.partial == 2 - Fraction(BIG_N + 2, 2**BIG_N)
     assert check.gap == check.bound == Fraction(BIG_N + 2, 2**BIG_N)
     assert check.certified
+
+
+@pytest.mark.parametrize("which, params", [
+    ("id1", (1,)), ("id1", (4,)), ("id1bar", (3,)), ("id2", (1, 1)), ("id2", (3, 2)), ("id3", (1, 1)),
+    ("id3", (2, 4)), ("alt", (1,)), ("alt", (6,)), ("alt", (7,)),
+])
+def test_sum_estimates_rest_on_the_family_length(which, params):
+    # corollary_bits and corollary_work take the family length d as the recurrence's degree,
+    # the masses below d as 0 and the mass at n >= d as at most 2**(n - d)
+    family, _ = corollary_family(which, params)
+    d = identities._family_length(family)
+    assert _recurrence(family).max_lag == d
+    masses = [value(family, n - series_shift(family)) for n in range(60 * d)]
+    assert masses[:d] == [0] * d and masses[d] == 1
+    assert all(0 < mass <= 2 ** (n - d) for n, mass in enumerate(masses[d:], d))
+    for N in (3, 2 * d, identities._JUMP_PER_DEGREE * d - 1, identities._JUMP_PER_DEGREE * d):
+        held = masses[:N + 1] if N < identities._JUMP_PER_DEGREE * d else []
+        held = max(held, masses[:2 * d + 1], key=len)
+        assert sum(mass.bit_length() for mass in held) <= identities.corollary_bits(which, params, N)

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from flipwait import pattern
 from flipwait.pattern import (
     Pattern,
     PatternError,
@@ -44,6 +47,20 @@ def test_parse_round_trips_through_text():
 def test_parse_rejects_bad_input(text, alphabet):
     with pytest.raises(PatternError):
         parse(text, alphabet)
+
+
+def test_coin_lookup_reads_every_character_whose_upper_case_is_a_coin_letter():
+    # parse once compared ch.upper() with "H" and "T"; its lookup table must read the same characters
+    letters = {chr(i) for i in range(sys.maxunicode + 1) if chr(i).upper() in ("H", "T")}
+    assert set(pattern._COIN_SYMBOLS) == letters == {"H", "h", "T", "t"}
+    assert all(pattern.COIN_LETTERS[sym] == ch.upper() for ch, sym in pattern._COIN_SYMBOLS.items())
+
+
+@pytest.mark.parametrize("text, bad", [("HTX", "X"), ("h t", " "), ("\u0127H", "\u0127"), ("HTHq\u0130", "q")])
+def test_parse_names_the_first_character_that_is_not_a_coin_letter(text, bad):
+    with pytest.raises(PatternError) as err:
+        parse(text)
+    assert str(err.value) == f"unknown coin symbol {bad!r} (expected H or T)"
 
 
 def test_pattern_invariants_enforced():
