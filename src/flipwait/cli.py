@@ -23,18 +23,18 @@ module is the one called.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process, so an in-process caller pays for building
-it once; importing this module builds nothing.  When the first argument
-names a command, `main` first parses the rest directly: the command's
-subparser records the arguments argparse makes for it, and its
-`parse_plain` reads them to give the Namespace argparse would give for a
-plain argument list (every option named in full and at most once, every
-value one token that does not start with "-" and that its type and
-choices accept, every required argument given, nothing left over), or
-None.  Any other list goes to the subparser's parse_known_args, and the
-top-level parser parses what that route does not: no argument list
-(sys.argv is read), no command or an unknown one, and arguments the
-subparser leaves over.  So `build_parser` is the one place that declares
-a flag, and every usage error and help text is argparse's own.
+it once; importing this module builds nothing.  `main` takes its argument
+list, or sys.argv[1:] when given none (the `flipwait` console script and
+`python -m flipwait.cli`), by one of two routes.  When the first argument
+names a command, the command's subparser records the arguments argparse
+makes for it, and its `parse_plain` reads them to give the Namespace
+argparse would give for a plain argument list (every option named in full
+and at most once, every value one token that does not start with "-" and
+that its type and choices accept, every required argument given, nothing
+left over), or None.  Every list that route does not take (help, usage
+errors, no command or an unknown one, and each unusual spelling) goes to
+the top-level parser whole.  So `build_parser` is the one place that
+declares a flag, and every usage error and help text is argparse's own.
 
 `sum` refuses, before any work, a series whose stored masses may pass
 VECTOR_BITS bits or whose estimated work passes SUM_WORK digit operations.
@@ -48,9 +48,8 @@ import sys
 from flipwait import automaton, exact
 from flipwait.closed_form import dispatch
 from flipwait.exact import exact_str as _exact_str
-from flipwait.jsontext import dumps
+from flipwait.jsontext import SCHEMA, dumps
 from flipwait.pattern import (
-    PatternError,
     complement,
     is_alternating,
     parse,
@@ -59,7 +58,6 @@ from flipwait.pattern import (
     symbol_text,
 )
 
-SCHEMA = 1
 # Most cells, (s + 1) * c, of the table `inspect` prints.  A cell costs about
 # 0.6 us in text and 0.2 us with --json (2 * 10**6 cells: 1.24 s and 0.39 s,
 # peak RSS 146 MB; in-process, best of 3, 2-vCPU shared host), so the largest
@@ -84,7 +82,14 @@ SUM_WORK = 4 * 10**10
 
 
 def _approx(x: "Fraction | int") -> str:
-    return f"{float(x):.12g}"
+    """x to 12 significant digits, spelled as %.12g spells them, also past the float range."""
+    try:
+        return f"{float(x):.12g}"
+    except OverflowError:  # |x| > 1.8e308: 12 digits by decimal division, less the trailing zeros %g drops
+        from decimal import MAX_EMAX, Context, Decimal
+
+        context = Context(prec=12, Emax=MAX_EMAX)
+        return f"{context.divide(Decimal(x.numerator), Decimal(x.denominator)).normalize(context):e}"
 
 
 def _emit(payload: dict, key: "str | None" = None, digits: "list[str] | None" = None, command=None):
@@ -466,22 +471,19 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     command = _parser.commands.get(argv[0]) if argv else None
     args = None
     if command is not None:
         args = command.parse_plain(argv[1:])
-        if args is None:
-            # what the top-level parser's subparsers action does with argv[1:]
-            args, rest = command.parse_known_args(argv[1:])
-            if rest:
-                args = None
-    if args is None:  # usage, help and "unrecognized arguments" come from the top-level parser
+    if args is None:  # help, usage errors and every argv that is not plain
         args = _parser.parse_args(argv)
     else:
         args.cmd = argv[0]
     try:
         return args.func(args)
-    except (PatternError, ValueError) as exc:
+    except ValueError as exc:  # PatternError included
         print(f"flipwait: error: {exc}", file=sys.stderr)
         return 1
 

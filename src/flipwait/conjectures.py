@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from flipwait._record import Record
 from flipwait.exact import expected_wait_conway, expected_wait_markov
-from flipwait.jsontext import CONSTANTS, dumps
+from flipwait.jsontext import CONSTANTS, SCHEMA, dumps
 from flipwait.pattern import COIN_LETTERS, Pattern, parse, reverse, runs
 
 INTERPRETATION = (
@@ -227,7 +227,7 @@ def scan(max_len: int, threads: int = 1) -> ScanReport:
 def summary(report: ScanReport) -> dict:
     """The report without its records, as `scan --json` prints it after its command key."""
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "max_len": report.max_len,
         "interpretation": report.interpretation,
         "scanned": report.scanned,

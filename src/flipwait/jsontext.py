@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii
 
+SCHEMA = 1  # the "schema" of every payload the CLI prints and of the `scan --out` report
+
 # json.dumps's spellings of the constants and of the floats that are not numbers
 CONSTANTS = {None: "null", True: "true", False: "false"}
 _INFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}

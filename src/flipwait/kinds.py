@@ -4,7 +4,7 @@
 kind: its parameter names and their least value, where its seed sits, its
 series shift and the summation identity (corollary) it enters.  It is a leaf
 that imports only `typing`, so the CLI's parser reads it without loading the
-recurrence core; `sequences` re-exports every name here.
+recurrence core.
 """
 
 from typing import NamedTuple

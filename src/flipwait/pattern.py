@@ -12,9 +12,6 @@ from typing import Iterator
 
 from flipwait._record import Frozen
 
-HEADS = 0
-TAILS = 1
-
 COIN_LETTERS = "HT"  # how the coin's symbols 0 and 1 are written
 # what `parse` reads as each coin symbol: every character whose upper() is a
 # coin letter, which for "H" and "T" is the letter and its lower case alone

@@ -14,14 +14,13 @@ Families and their CLI labels:
   fib-tilde:k,m  seed at n = k+m-1, then 2a(n-1) - a(n-k-1) + 2a(n-k-2) - a(n-k-m-2)
   alt:s        counts for the alternating pattern of length s; seed at n = s
 
-`KINDS`, which the leaf module `kinds` holds and this module re-exports, is
-the one place that holds the facts other modules need about a kind: its
-parameter names and their least value, where its seed sits, its series
-shift and the summation identity (corollary) it enters; the checks,
-`base_index`, `series_shift`, the corollaries, the CLI's flags and help
-and the count-family sweep all read it.  Each kind's recurrence is defined
-twice, on purpose: `_recurrence` and `gf_polynomials`, which tests compare
-as independent routes.
+`KINDS`, which the leaf module `kinds` holds, is the one place that holds
+the facts other modules need about a kind: its parameter names and their
+least value, where its seed sits, its series shift and the summation
+identity (corollary) it enters; the checks, `base_index`, `series_shift`,
+the corollaries, the CLI's flags and help and the count-family sweep all
+read it.  Each kind's recurrence is defined twice, on purpose: `_recurrence`
+and `gf_polynomials`, which tests compare as independent routes.
 
 `_recurrence` gives each family's recurrence as a `recurrence.Recurrence`,
 the core that also steps the first-occurrence counts: it extends the
@@ -35,13 +34,9 @@ import threading
 from itertools import count
 from typing import Iterator
 
-from flipwait import kinds
 from flipwait._record import Frozen
+from flipwait.kinds import KINDS
 from flipwait.recurrence import Recurrence
-
-
-# the family table lives in the leaf module `kinds`; every import of these names from here stays valid
-Kind, KINDS, COROLLARIES = kinds.Kind, kinds.KINDS, kinds.COROLLARIES
 
 
 def check_least(who: str, names: tuple[str, ...], params: tuple[int, ...], least: int):

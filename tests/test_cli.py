@@ -263,6 +263,33 @@ def test_human_output_shows_approximations(capsys):
     assert "partial" in out and "target" in out and "~" in out
 
 
+SUM_ID1_2_64_TEXT = (
+    "corollary id1(2,) truncated at N=64\n"
+    "  partial    = 55339270605187277491/9223372036854775808\n"
+    "             ~ 5.99989574139\n"
+    "  target     = 6\n"
+    "  gap        ~ 0.000104258609274\n"
+    "  tail bound ~ 0.000108420655404\n"
+    "  gap <= bound: yes\n"
+)
+
+
+def test_sum_text_bytes_pinned_in_the_float_range(capsys):
+    assert run_cli(capsys, "sum", "id1", "--k", "2", "--N", "64") == (0, SUM_ID1_2_64_TEXT, "")
+
+
+@pytest.mark.parametrize("k, gap, bound", [
+    (1020, "2.24711641858e+307", "1.14602937347e+310"),
+    (1100, "2.7165970581e+331", "1.49412838195e+334"),
+])
+def test_sum_text_approximates_values_past_the_float_range(capsys, k, gap, bound):
+    # the tail bound (and at k = 1100 the gap) is past the float range; each ~ line keeps the
+    # spelling of %.12g: 12 digits rounded half to even, trailing zeros dropped, a signed exponent
+    code, out, err = run_cli(capsys, "sum", "id1", "--k", str(k), "--N", "10")
+    assert (code, err) == (0, "")
+    assert f"  gap        ~ {gap}\n  tail bound ~ {bound}\n" in out
+
+
 # sha256 of stdout of `scan --max-len 10 --json --csv F` followed by the bytes of F
 SCAN_10_JSON_CSV_SHA256 = "936881ddb208fa8b88eacc59ca091323e2f35a1b30e74e83d0e2b32bcf2ab2d2"
 
@@ -318,6 +345,22 @@ def test_scan_past_the_length_limit_fails_at_once(capsys):
     code, out, err = run_cli(capsys, "scan", "--max-len", str(MAX_LEN + 1))
     assert (code, out) == (1, "")
     assert f"exceeds the scan limit MAX_LEN = {MAX_LEN}" in err
+
+
+def test_scan_with_violations_exits_3(capsys, monkeypatch):
+    # every real scan is clean, so a faulty power-form test is the way to reach the violation report
+    from flipwait import conjectures
+    from test_conjectures import _faulty_power_form
+
+    monkeypatch.setattr(conjectures, "_power_form", _faulty_power_form)
+    want = conjectures.scan(8).violations
+    assert want and all(v.startswith("power form fails for ") for v in want)
+    code, out, err = run_cli(capsys, "scan", "--max-len", "8")
+    assert (code, err) == (3, "")
+    assert out.endswith(f"  VIOLATIONS ({len(want)}):\n" + "".join(f"    {v}\n" for v in want))
+    code, payload, err = run_json(capsys, "scan", "--max-len", "8", "--json")
+    assert (code, err) == (3, "")
+    assert payload["violations"] == want
 
 
 def test_expect_all_disagreement_exits_2(capsys, monkeypatch):
@@ -455,8 +498,8 @@ DISPATCH_TABLE = [
 
 @pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=" ".join)
 def test_main_matches_the_top_level_parser(capsys, argv):
-    # main hands argv[1:] to the command's subparser; leftovers, help and usage errors
-    # must still come out as the top-level parser gives them
+    # main hands every argv that parse_plain does not take to the top-level parser itself;
+    # leftovers, help and usage errors must come out as that parser gives them
     assert _outcome(capsys, argv) == _top_level_outcome(capsys, argv)
 
 
@@ -490,6 +533,20 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     got = _outcome(capsys, None)
     assert got[0] == 0 and json.loads(got[1])["results"]["markov"] == "30"
     assert got == _top_level_outcome(capsys, None)
+
+
+def test_main_without_argv_takes_the_direct_route(capsys, monkeypatch):
+    # the console script and `python -m flipwait.cli` call main() with no argument
+    argv = ["expect", "0,1,0", "--alphabet", "3", "--json"]
+    want = _top_level_outcome(capsys, argv)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"argparse parsed the plain sys.argv {argv}")
+
+    monkeypatch.setattr(sys, "argv", ["flipwait", *argv])
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert _outcome(capsys, None) == want
+    assert want[0] == 0
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -9,6 +9,7 @@ import pytest
 from flipwait import automaton, cli, counting
 from flipwait.automaton import build
 from flipwait.counting import (
+    CountFamilyMismatch,
     conditional_count,
     conditional_count_vector,
     count_brute,
@@ -200,6 +201,22 @@ def test_verify_count_families_clean():
     report = verify_count_families(3, 40)
     assert report.ok
     assert report.checks > 0
+
+
+def test_verify_count_families_records_a_mismatch(monkeypatch):
+    from flipwait.sequences import alt_g, series_shift, value
+
+    family = alt_g(3)
+
+    def off_by_one(f, n):  # wrong at one index of one family
+        return value(f, n) + (1 if (f, n) == (family, 4) else 0)
+
+    monkeypatch.setattr(counting, "value", off_by_one)
+    report = verify_count_families(2, 10)
+    n = 4 + series_shift(family)
+    dp = count_first_occurrence(parse("HTH"), 10)[n]
+    assert not report.ok
+    assert report.mismatches == [CountFamilyMismatch("HTH", "alternating=alt:3", n, dp, dp + 1)]
 
 
 def test_verify_count_family_examples():
